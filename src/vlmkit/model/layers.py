@@ -58,12 +58,11 @@ class Module:
 
 
 class Linear(Module):
-    """y = x @ w + b, with an optional low-rank adapter on the weight."""
+    """y = x @ w + b."""
 
     def __init__(self, d_in: int, d_out: int, rng: Rng, bias: bool = True):
         self.w = Tensor(rng.normal((d_in, d_out), std=INIT_STD), requires_grad=True)
         self.b = Tensor.zeros((d_out,), requires_grad=True) if bias else None
-        self.adapter = None  # recipe.tuning.LoraAdapter when attached
 
     @property
     def d_in(self) -> int:
@@ -75,9 +74,6 @@ class Linear(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         y = matmul(x, self.w)
-        if self.adapter is not None:
-            low = matmul(x, transpose(self.adapter.a))
-            y = add(y, scale(matmul(low, transpose(self.adapter.b)), self.adapter.scale))
         if self.b is not None:
             y = add(y, self.b)
         return y
@@ -108,11 +104,31 @@ class RMSNorm(Module):
     __call__ = forward
 
 
+class LayerCache:
+    """Keys and values [h, T, dh] of the positions one attention layer has seen."""
+
+    __slots__ = ("k", "v")
+
+    def __init__(self):
+        self.k: Optional[Tensor] = None
+        self.v: Optional[Tensor] = None
+
+    def extend(self, k: Tensor, v: Tensor) -> Tuple[Tensor, Tensor]:
+        """Append this call's keys and values; returns all of them."""
+        if self.k is not None:
+            k = concat([self.k, k], axis=1)
+            v = concat([self.v, v], axis=1)
+        self.k, self.v = k, v
+        return k, v
+
+
 class MultiHeadAttention(Module):
     """Scaled dot-product attention over [T, d] sequences (no batch dim).
 
     Query and key/value inputs may have different widths, which is what the
-    resampler and q-former connectors use for cross-attention.
+    resampler and q-former connectors use for cross-attention. With a
+    `cache`, this call's keys and values are appended to the cached ones and
+    the queries attend over all of them; `mask` then spans every key.
     """
 
     def __init__(self, d_model: int, heads: int, rng: Rng,
@@ -127,7 +143,8 @@ class MultiHeadAttention(Module):
         self._d_model = d_model
         self._d_head = d_model // heads
 
-    def forward(self, q_in: Tensor, kv_in: Tensor, mask: Optional[Tensor] = None) -> Tensor:
+    def forward(self, q_in: Tensor, kv_in: Tensor, mask: Optional[Tensor] = None,
+                cache: Optional[LayerCache] = None) -> Tensor:
         tq, tk = q_in.shape[0], kv_in.shape[0]
         h, dh = self._heads, self._d_head
 
@@ -137,6 +154,8 @@ class MultiHeadAttention(Module):
         q = split_heads(self.wq(q_in), tq)
         k = split_heads(self.wk(kv_in), tk)
         v = split_heads(self.wv(kv_in), tk)
+        if cache is not None:
+            k, v = cache.extend(k, v)
         scores = scale(matmul(q, transpose(k, (0, 2, 1))), 1.0 / math.sqrt(dh))
         if mask is not None:
             scores = add(scores, mask)
@@ -159,7 +178,7 @@ class FeedForward(Module):
 
 
 class TransformerBlock(Module):
-    """Pre-norm self-attention block; pass a mask for causal use."""
+    """Pre-norm self-attention block; pass a mask for causal use and a cache to decode."""
 
     def __init__(self, d: int, heads: int, rng: Rng):
         self.ln1 = LayerNorm(d)
@@ -167,9 +186,10 @@ class TransformerBlock(Module):
         self.ln2 = LayerNorm(d)
         self.ff = FeedForward(d, rng.split("ff"))
 
-    def forward(self, x: Tensor, mask: Optional[Tensor] = None) -> Tensor:
+    def forward(self, x: Tensor, mask: Optional[Tensor] = None,
+                cache: Optional[LayerCache] = None) -> Tensor:
         normed = self.ln1(x)
-        x = add(x, self.attn(normed, normed, mask))
+        x = add(x, self.attn(normed, normed, mask, cache))
         x = add(x, self.ff(self.ln2(x)))
         return x
 

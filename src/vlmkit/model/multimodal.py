@@ -80,8 +80,9 @@ def compose_multimodal(ids: np.ndarray, labels: Optional[np.ndarray],
                        llm: LanguageModel) -> Tuple[Tensor, Optional[np.ndarray], np.ndarray]:
     """Embed text ids, splicing image tokens in at the placeholder position.
 
-    Returns (embeds [T', d], shifted labels [T'] or None, positions [T']).
-    Label positions covering the image carry IGNORE_INDEX.
+    Returns (embeds [T', d], labels [T'] or None, positions [T']). Labels stay
+    aligned with their input positions (`sequence_loss` shifts them); positions
+    covering the image carry IGNORE_INDEX.
     """
     ids = np.asarray(ids, dtype=np.int64)
     if (image_embeds is None) != (image_token_index is None):
@@ -132,7 +133,14 @@ def sequence_loss(model: MultimodalModel, sample: TokenizedSample) -> Tuple[Tens
 
 def generate(model: MultimodalModel, conv: Conversation,
              image: Optional[np.ndarray] = None, max_new_tokens: int = 8) -> str:
-    """Greedy decoding until EOS or the token budget; deterministic."""
+    """Greedy decoding until EOS or the token budget; deterministic.
+
+    The prompt is composed once and run through the LLM in one forward (the
+    prefill), which fills a per-block K/V cache. Each later step embeds only
+    the token just chosen and runs that one position, at the cache length,
+    against the cached keys and values. Decoding stops before a token would
+    need position `max_positions`, and runs no forward once the budget is spent.
+    """
     if conv.turns and conv.turns[-1].role != ROLE_ASSISTANT:
         conv = Conversation(conv.id, conv.image_path, conv.turns + [Turn(ROLE_ASSISTANT, "")])
     tpl = model.template()
@@ -142,25 +150,25 @@ def generate(model: MultimodalModel, conv: Conversation,
     if (image_idx is None) and image is not None:
         raise ValidationError("an image was given but the prompt has no placeholder")
 
-    max_pos = model.llm.config.max_positions
+    llm = model.llm
+    max_pos = llm.config.max_positions
     with no_grad():
         image_embeds = model.encode_image(image) if image is not None else None
-        m = image_embeds.shape[0] if image_embeds is not None else 0
-        need = len(ids) - (1 if image_idx is not None else 0) + m
+        embeds, _, _ = compose_multimodal(ids, None, image_embeds, image_idx, llm)
+        need = embeds.shape[0]
         if need > max_pos:
             raise ValidationError(f"prompt needs {need} positions, model allows {max_pos}")
         generated: List[int] = []
-        work = ids
-        for _ in range(max_new_tokens):
-            embeds, _, _ = compose_multimodal(work, None, image_embeds, image_idx, model.llm)
-            if embeds.shape[0] > max_pos:
-                break
-            logits = model.llm.forward_embeds(embeds)
+        cache = llm.new_cache()
+        while len(generated) < max_new_tokens:
+            logits = llm.forward(embeds, cache)
             next_id = int(np.argmax(logits.data[-1]))
             if next_id == EOS_ID:
                 break
             generated.append(next_id)
-            work = np.append(work, np.int32(next_id))
+            if cache.length == max_pos:     # no position left for next_id
+                break
+            embeds = llm.embed_ids(np.array([next_id]))
     return _TOKENIZER.decode(generated)
 
 

@@ -329,9 +329,13 @@ def tmean(x: Tensor) -> Tensor:
     return record("mean", out, (x,), bw)
 
 
-def causal_mask(t: int, valid_len: Optional[int] = None) -> Tensor:
-    """Additive [t, t] mask: -1e9 above the diagonal and on padded keys."""
-    m = np.triu(np.full((t, t), -1e9, dtype=np.float32), k=1)
-    if valid_len is not None and valid_len < t:
+def causal_mask(t: int, valid_len: Optional[int] = None, start: int = 0) -> Tensor:
+    """Additive [t, start + t] mask for t rows that follow `start` earlier keys.
+
+    Row i sits at position start + i and sees keys 0..start + i: -1e9 above
+    that diagonal and on padded keys.
+    """
+    m = np.triu(np.full((t, start + t), -1e9, dtype=np.float32), k=start + 1)
+    if valid_len is not None and valid_len < start + t:
         m[:, valid_len:] = -1e9
     return Tensor(m)

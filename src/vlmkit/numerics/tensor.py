@@ -14,6 +14,7 @@ and gradient buffers.
 from __future__ import annotations
 
 import itertools
+import weakref
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -44,23 +45,34 @@ def grad_enabled() -> bool:
 
 
 class Node:
-    """One recorded operation: inputs, output, and its backward rule."""
+    """One recorded operation: inputs, output, and its backward rule.
 
-    __slots__ = ("seq", "op", "inputs", "out", "backward_fn")
+    The output is held weakly. It holds its node, and a strong reference back
+    would make every taped graph a reference cycle, freed only by the cyclic
+    garbage collector instead of when the last tensor of the step goes away.
+    A node reachable from a live root always has a live output: the root, or
+    an input of a later node.
+    """
+
+    __slots__ = ("seq", "op", "inputs", "_out", "backward_fn")
 
     def __init__(self, op: str, inputs: Sequence["Tensor"], out: "Tensor",
                  backward_fn: Callable[[np.ndarray], Sequence[Optional[np.ndarray]]]):
         self.seq = next(_node_counter)
         self.op = op
         self.inputs = tuple(inputs)
-        self.out = out
+        self._out = weakref.ref(out)
         self.backward_fn = backward_fn
+
+    @property
+    def out(self) -> Optional["Tensor"]:
+        return self._out()
 
 
 class Tensor:
     """N-dimensional float32 array, optionally tracked for gradients."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_node")
+    __slots__ = ("data", "requires_grad", "grad", "_node", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float32)

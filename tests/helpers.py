@@ -1,5 +1,6 @@
+"""Shared test helpers: random multilingual conversations."""
+
 import numpy as np
-import pytest
 
 from vlmkit.data import Conversation, Turn
 

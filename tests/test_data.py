@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import random_conversation
+from helpers import random_conversation
 from vlmkit.data import (
     ANSWER_VOCABULARY,
     BOS_ID,

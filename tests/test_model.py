@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from vlmkit.data import ByteTokenizer, Conversation, Turn, tokenize_prompt
+from vlmkit.data.tokenizer import EOS_ID
 from vlmkit.errors import DimensionError, RegistryError, ValidationError
 from vlmkit.model import (
     ConnectorConfig,
@@ -19,9 +20,10 @@ from vlmkit.model import (
     compose_multimodal,
     generate,
     mof_forward,
+    multimodal,
     sequence_loss,
 )
-from vlmkit.numerics import Rng, Tensor, no_grad, scale
+from vlmkit.numerics import Rng, Tensor, concat, narrow, no_grad, scale
 from vlmkit.numerics.ops import IGNORE_INDEX
 from vlmkit.registry import registry
 
@@ -340,12 +342,12 @@ def test_generate_argmax_invariant_to_logit_scaling():
     model = build_model(tiny_model_cfg(), seed=SEED)
     img = random_image(seed=10)
     base = generate(model, _question_conv(), img, max_new_tokens=6)
-    orig = model.llm.forward_embeds
-    model.llm.forward_embeds = lambda e: scale(orig(e), 7.5)
+    orig = model.llm.forward
+    model.llm.forward = lambda e, cache=None: scale(orig(e, cache), 7.5)
     try:
         assert generate(model, _question_conv(), img, max_new_tokens=6) == base
     finally:
-        del model.llm.forward_embeds
+        del model.llm.forward
 
 
 def test_generate_image_placeholder_consistency():
@@ -366,6 +368,125 @@ def test_generate_prompt_too_long():
     with pytest.raises(ValidationError) as ei:
         generate(model, conv)
     assert f"needs {len(ids)} positions" in str(ei.value)
+
+
+# -- KV-cached decoding against the uncached path -----------------------------------
+
+
+def _uncached_decode(model, conv, image, budget):
+    """Greedy decode with a full recompose and forward_embeds per new token.
+
+    Returns the argmax of every step (a final EOS included) and the
+    last-position logits each step read.
+    """
+    conv = Conversation(conv.id, conv.image_path, conv.turns + [Turn("assistant", "")])
+    ids, image_idx = tokenize_prompt(conv, model.template(), ByteTokenizer())
+    chosen, logits = [], []
+    with no_grad():
+        image_embeds = model.encode_image(image) if image is not None else None
+        for _ in range(budget):
+            work = np.concatenate([ids, np.asarray(chosen, dtype=ids.dtype)])
+            embeds, _, _ = compose_multimodal(work, None, image_embeds, image_idx, model.llm)
+            if embeds.shape[0] > model.llm.config.max_positions:
+                break
+            logits.append(model.llm.forward_embeds(embeds).data[-1].copy())
+            chosen.append(int(np.argmax(logits[-1])))
+            if chosen[-1] == EOS_ID:
+                break
+    return chosen, logits
+
+
+def _spy_on_forward(model):
+    """Record the last-position logits of every forward `generate` runs."""
+    seen = []
+    orig = model.llm.forward
+
+    def forward(embeds, cache=None):
+        out = orig(embeds, cache)
+        seen.append(out.data[-1].copy())
+        return out
+
+    model.llm.forward = forward
+    return seen
+
+
+@pytest.mark.parametrize("connector", ALL_CONNECTORS)
+@pytest.mark.parametrize("mof", [False, True])
+def test_cached_generate_matches_uncached_decode_full_grid(connector, mof):
+    model = build_model(tiny_model_cfg(connector=connector, mof=mof), seed=SEED)
+    img = random_image(seed=11)
+    want, want_logits = _uncached_decode(model, _question_conv(), img, budget=6)
+    seen = _spy_on_forward(model)
+    got = generate(model, _question_conv(), img, max_new_tokens=6)
+    assert [int(np.argmax(row)) for row in seen] == want
+    assert got == ByteTokenizer().decode(want)
+    for row, want_row in zip(seen, want_logits):
+        np.testing.assert_allclose(row, want_row, rtol=0, atol=1e-5)
+
+
+def _deep_llm():
+    return LanguageModel(LLMConfig(width=32, depth=2, heads=2, max_positions=64), Rng(8))
+
+
+@pytest.mark.parametrize("chunks", [(20,), (12,) + (1,) * 8, (1,) * 20, (5, 7, 1, 4, 3)])
+def test_cached_forward_matches_one_full_forward(chunks):
+    llm = _deep_llm()
+    embeds = Tensor(np.random.default_rng(2).normal(size=(20, 32)).astype(np.float32))
+    with no_grad():
+        full = llm.forward_embeds(embeds).data
+        cache, rows, start = llm.new_cache(), [], 0
+        for t in chunks:
+            rows.append(llm.forward(narrow(embeds, 0, start, t), cache))
+            start += t
+            assert cache.length == start
+        cached = concat(rows, axis=0).data
+    np.testing.assert_allclose(cached, full, rtol=0, atol=1e-5)
+
+
+def test_cached_forward_past_max_positions_names_the_count():
+    llm = _deep_llm()
+    cache = llm.new_cache()
+    with no_grad():
+        llm.forward(Tensor(np.zeros((60, 32), dtype=np.float32)), cache)
+        with pytest.raises(ValidationError) as ei:
+            llm.forward(Tensor(np.zeros((5, 32), dtype=np.float32)), cache)
+    assert "65" in str(ei.value)
+    assert cache.length == 60
+
+
+@pytest.mark.parametrize("headroom", [0, 1, 2, 3])
+def test_cached_decode_stops_at_max_positions_like_uncached(headroom):
+    probe = build_model(tiny_model_cfg(), seed=SEED)
+    conv = _question_conv()
+    conv = Conversation(conv.id, conv.image_path, conv.turns + [Turn("assistant", "")])
+    ids, _ = tokenize_prompt(conv, probe.template(), ByteTokenizer())
+    need = len(ids) - 1 + probe.config["image_tokens"]
+    cfg = tiny_model_cfg()
+    cfg["llm"]["config"]["max_positions"] = need + headroom
+    model = build_model(cfg, seed=SEED)
+    img = random_image(seed=12)
+    want, _ = _uncached_decode(model, _question_conv(), img, budget=8)
+    assert EOS_ID not in want and len(want) == headroom + 1
+    seen = _spy_on_forward(model)
+    assert generate(model, _question_conv(), img, max_new_tokens=8) == ByteTokenizer().decode(want)
+    assert [int(np.argmax(row)) for row in seen] == want
+
+
+def test_generate_composes_once_and_runs_no_forward_past_the_budget(monkeypatch):
+    model = build_model(tiny_model_cfg(), seed=SEED)
+    calls = []
+    compose = multimodal.compose_multimodal
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return compose(*args, **kwargs)
+
+    monkeypatch.setattr(multimodal, "compose_multimodal", counting)
+    seen = _spy_on_forward(model)
+    generate(model, _question_conv(), random_image(seed=13), max_new_tokens=3)
+    assert len(calls) == 1
+    assert len(seen) == 3
+    assert EOS_ID not in [int(np.argmax(row)) for row in seen]
 
 
 # -- config resolution ---------------------------------------------------------

@@ -1,6 +1,8 @@
 """Tensor engine tests: analytic cases, independent oracles, FD checks."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from vlmkit.numerics import (
     AdamW,
     Tensor,
     add,
+    causal_mask,
     concat,
     embedding,
     exp,
@@ -317,6 +320,33 @@ def test_shared_leaf_accumulates_from_both_uses():
     np.testing.assert_allclose(x.grad, [4.0, 8.0])
 
 
+def _gelu_softmax_step():
+    """One small forward and backward; returns (w grad, weakref to an activation)."""
+    w = Tensor(rand((4, 4), seed=40), requires_grad=True)
+    hidden = gelu(matmul(Tensor(rand((3, 4), seed=41)), w))
+    probe = weakref.ref(hidden)
+    loss = softmax(hidden).sum()
+    del hidden
+    loss.backward()
+    assert probe() is not None      # the loss's tape still holds it
+    del loss
+    return w.grad, probe
+
+
+def test_dropping_the_loss_frees_the_graph_without_the_cycle_collector():
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        grad, probe = _gelu_softmax_step()
+        assert probe() is None
+    finally:
+        if was_enabled:
+            gc.enable()
+    gc.collect()
+    grad_collected, _ = _gelu_softmax_step()
+    np.testing.assert_array_equal(grad, grad_collected)
+
+
 def test_no_grad_suppresses_recording():
     x = Tensor([1.0], requires_grad=True)
     with no_grad():
@@ -325,6 +355,12 @@ def test_no_grad_suppresses_recording():
 
 
 # -- shape ops --------------------------------------------------------------------
+
+
+def test_causal_mask_with_start_is_the_tail_of_the_full_mask():
+    full = causal_mask(7).data
+    for start in range(7):
+        np.testing.assert_array_equal(causal_mask(7 - start, start=start).data, full[start:])
 
 
 def test_reshape_transpose_concat_narrow_grads():
