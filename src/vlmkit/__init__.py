@@ -1,8 +1,8 @@
 """Desk-scale modular vision-language models.
 
 Small multimodal models are composed from interchangeable vision towers,
-connectors, and language models via a component registry, trained with
-multi-stage recipes, and evaluated on synthetic VQA benchmarks.
+connectors, and language models via a component registry, and trained on
+synthetic VQA data with a float32 numpy autodiff engine.
 """
 
 __version__ = "0.1.0"

@@ -67,17 +67,28 @@ class Conversation:
 def conversation_from_record(record: dict, index: int) -> Conversation:
     if not isinstance(record, dict):
         raise ValidationError(f"record {index}: expected an object, got {type(record).__name__}")
+    messages = record.get("conversations", [])
+    if not isinstance(messages, list):
+        raise ValidationError(
+            f"record {index}: 'conversations' must be an array, got {type(messages).__name__}")
     turns = []
-    for j, msg in enumerate(record.get("conversations", [])):
+    for j, msg in enumerate(messages):
+        if not isinstance(msg, dict):
+            raise ValidationError(
+                f"record {index}: turn {j} must be an object, got {type(msg).__name__}")
         src = msg.get("from")
-        if src not in _FROM_TO_ROLE:
+        if not isinstance(src, str) or src not in _FROM_TO_ROLE:
             raise ValidationError(f"record {index}: turn {j} has unknown 'from' value {src!r}")
-        turns.append(Turn(_FROM_TO_ROLE[src], str(msg.get("value", ""))))
-    conv = Conversation(
-        id=str(record.get("id", index)),
-        image_path=record.get("image"),
-        turns=turns,
-    )
+        text = msg.get("value", "")
+        if not isinstance(text, str):
+            raise ValidationError(
+                f"record {index}: turn {j} 'value' must be a string, got {type(text).__name__}")
+        turns.append(Turn(_FROM_TO_ROLE[src], text))
+    image = record.get("image")
+    if image is not None and not (isinstance(image, str) and image):
+        raise ValidationError(f"record {index}: 'image' must be a non-empty path string, "
+                              f"got {image!r}")
+    conv = Conversation(id=str(record.get("id", index)), image_path=image, turns=turns)
     try:
         conv.validate()
     except ValidationError as exc:
@@ -86,15 +97,26 @@ def conversation_from_record(record: dict, index: int) -> Conversation:
 
 
 def load_dataset(path: str) -> List[Conversation]:
-    """Parse a dataset file, preserving record order; rejects bad records."""
+    """Parse a dataset file, preserving record order; rejects bad records.
+
+    Record ids must be unique; a record without an id takes its index.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ValidationError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(raw, list):
         raise ValidationError(f"{path}: top level must be a JSON array")
-    return [conversation_from_record(rec, i) for i, rec in enumerate(raw)]
+    convs, first_index = [], {}
+    for i, rec in enumerate(raw):
+        conv = conversation_from_record(rec, i)
+        first = first_index.setdefault(conv.id, i)
+        if first != i:
+            raise ValidationError(
+                f"record {i}: id '{conv.id}' already used by record {first}")
+        convs.append(conv)
+    return convs
 
 
 def resolve_image_path(dataset_path: str, image_rel: str) -> str:

@@ -41,6 +41,9 @@ def load_ppm(path: str) -> np.ndarray:
         width, height, maxval = (int(f) for f in fields)
     except ValueError:
         raise ValidationError(f"{path}: malformed PPM header fields {fields}") from None
+    for name, value in (("width", width), ("height", height)):
+        if value <= 0:
+            raise ValidationError(f"{path}: PPM {name} must be positive, got {value}")
     if maxval != 255:
         raise ValidationError(f"{path}: PPM maxval must be 255, got {maxval}")
     need = width * height * 3

@@ -1,8 +1,4 @@
-"""Exception hierarchy shared across the package.
-
-The CLI maps these onto exit codes: validation problems exit 1, numeric
-failures exit 2, I/O and integrity failures exit 3.
-"""
+"""Exception hierarchy shared across the package."""
 
 
 class VlmkitError(Exception):
@@ -37,7 +33,3 @@ class ConfigError(ValidationError):
 
 class NumericError(VlmkitError, ArithmeticError):
     """Non-finite loss or other numeric failure during training."""
-
-
-class IntegrityError(VlmkitError):
-    """Checkpoint manifest/blob mismatch or unreadable artifact."""

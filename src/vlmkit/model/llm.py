@@ -18,12 +18,24 @@ cache length: they get those position embeddings, attend causally to the
 over the whole prompt (the prefill) followed by one-row calls gives the
 logits one uncached forward over the full sequence would, up to float32
 rounding. No call may reach past `max_positions`.
+
+Prompts under one chat template share a head: every id before the image
+placeholder (BOS, the system message, the user prefix). The model keeps one
+entry for the last head it saw: the head ids, narrow views of the head's
+keys and values in each block, and the bytes of every parameter at the time.
+`head_cache(head)` starts a cache from that entry only when the ids are equal
+and every parameter's bytes still are too; weights change in place (an
+optimizer step, a user edit), so nothing short of the bytes can tell. Keys
+and values of a position depend only on the positions up to it, so the rest
+of the prompt runs against them as it would after the head in one prefill.
+Cached arrays are never written: `LayerCache.extend` concatenates into new
+ones.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -59,6 +71,13 @@ class KVCache:
         self.length = 0
 
 
+@dataclass
+class _HeadEntry:
+    ids: np.ndarray
+    kv: List[Tuple[Tensor, Tensor]]     # per block: keys and values [h, len(ids), dh]
+    weights: List[bytes]                # every parameter's bytes when `kv` was computed
+
+
 class LanguageModel(Module):
     def __init__(self, config: LLMConfig, rng: Rng):
         self.config = config
@@ -72,6 +91,7 @@ class LanguageModel(Module):
             for i in range(config.depth)
         ]
         self.final_norm = RMSNorm(d)
+        self._head: Optional[_HeadEntry] = None
 
     @property
     def width(self) -> int:
@@ -82,6 +102,30 @@ class LanguageModel(Module):
 
     def new_cache(self) -> KVCache:
         return KVCache(len(self.blocks))
+
+    def _weight_bytes(self) -> List[bytes]:
+        return [p.data.tobytes() for p in self.parameters()]
+
+    def head_cache(self, head: np.ndarray) -> KVCache:
+        """A new cache holding `head`'s keys and values if the stored entry matches.
+
+        A match needs equal ids and every parameter byte-equal to the stored
+        snapshot; otherwise (or for an empty head) the cache starts empty.
+        """
+        cache = self.new_cache()
+        entry = self._head
+        if (len(head) and entry is not None and np.array_equal(entry.ids, head)
+                and entry.weights == self._weight_bytes()):
+            for layer, (k, v) in zip(cache.layers, entry.kv):
+                layer.k, layer.v = k, v
+            cache.length = len(head)
+        return cache
+
+    def keep_head(self, head: np.ndarray, cache: KVCache):
+        """Store the first len(head) positions of `cache` as the entry for `head`."""
+        n = len(head)
+        kv = [(narrow(layer.k, 1, 0, n), narrow(layer.v, 1, 0, n)) for layer in cache.layers]
+        self._head = _HeadEntry(np.array(head), kv, self._weight_bytes())
 
     def forward(self, embeds: Tensor, cache: Optional[KVCache] = None) -> Tensor:
         """Causal forward over [t, d] embeddings; returns [t, vocab] logits.

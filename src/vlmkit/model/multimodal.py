@@ -140,6 +140,15 @@ def generate(model: MultimodalModel, conv: Conversation,
     the token just chosen and runs that one position, at the cache length,
     against the cached keys and values. Decoding stops before a token would
     need position `max_positions`, and runs no forward once the budget is spent.
+
+    The prompt's head is every id before the image placeholder, or without an
+    image every id but the last; under one template it is the same for every
+    prompt. The LLM keeps the head's keys and values from the last prefill (one
+    entry per model). When the next prompt has the same head and every LLM
+    parameter is byte-equal to the snapshot taken with them, the cache starts
+    from that entry and the prefill runs only the rest of the prompt. Otherwise
+    the whole prompt is prefilled and its head becomes the entry. An empty head
+    (the image first) is never stored.
     """
     if conv.turns and conv.turns[-1].role != ROLE_ASSISTANT:
         conv = Conversation(conv.id, conv.image_path, conv.turns + [Turn(ROLE_ASSISTANT, "")])
@@ -154,12 +163,15 @@ def generate(model: MultimodalModel, conv: Conversation,
     max_pos = llm.config.max_positions
     with no_grad():
         image_embeds = model.encode_image(image) if image is not None else None
-        embeds, _, _ = compose_multimodal(ids, None, image_embeds, image_idx, llm)
-        need = embeds.shape[0]
+        need = len(ids) if image_embeds is None else len(ids) - 1 + image_embeds.shape[0]
         if need > max_pos:
             raise ValidationError(f"prompt needs {need} positions, model allows {max_pos}")
+        head = ids[:len(ids) - 1 if image_idx is None else image_idx]
+        cache = llm.head_cache(head)
+        start = cache.length
+        embeds, _, _ = compose_multimodal(
+            ids[start:], None, image_embeds, None if image_idx is None else image_idx - start, llm)
         generated: List[int] = []
-        cache = llm.new_cache()
         while len(generated) < max_new_tokens:
             logits = llm.forward(embeds, cache)
             next_id = int(np.argmax(logits.data[-1]))
@@ -169,6 +181,8 @@ def generate(model: MultimodalModel, conv: Conversation,
             if cache.length == max_pos:     # no position left for next_id
                 break
             embeds = llm.embed_ids(np.array([next_id]))
+        if start == 0 and 0 < len(head) <= cache.length:     # a miss that ran the prefill
+            llm.keep_head(head, cache)
     return _TOKENIZER.decode(generated)
 
 
@@ -182,8 +196,7 @@ def resolve_model_config(cfg: dict) -> dict:
 
     vision_spec = dict(cfg.get("vision") or {"name": "clip_tiny"})
     vision_name = vision_spec.get("name", "clip_tiny")
-    if not registry.has("vision", vision_name):
-        registry.create("vision", vision_name)  # raises with candidates
+    registry.require("vision", vision_name)
     vision_cfg = VisionTowerConfig.from_dict(vision_spec.get("config") or {})
     out["vision"] = {"name": vision_name, "config": asdict(vision_cfg)}
 
@@ -193,8 +206,7 @@ def resolve_model_config(cfg: dict) -> dict:
     if mof_spec is not None:
         mof_spec = dict(mof_spec)
         mof_name = mof_spec.get("name", vision_name)
-        if not registry.has("vision", mof_name):
-            registry.create("vision", mof_name)
+        registry.require("vision", mof_name)
         mof_cfg = VisionTowerConfig.from_dict(mof_spec.get("config") or {})
         if (mof_cfg.image_size, mof_cfg.patch_size, mof_cfg.width) != (
                 vision_cfg.image_size, vision_cfg.patch_size, vision_cfg.width):
@@ -206,15 +218,13 @@ def resolve_model_config(cfg: dict) -> dict:
 
     llm_spec = dict(cfg.get("llm") or {"name": "phi_tiny"})
     llm_name = llm_spec.get("name", "phi_tiny")
-    if not registry.has("llm", llm_name):
-        registry.create("llm", llm_name)
+    registry.require("llm", llm_name)
     llm_cfg = LLMConfig.from_dict(llm_spec.get("config") or {})
     out["llm"] = {"name": llm_name, "config": asdict(llm_cfg)}
 
     conn_spec = dict(cfg.get("connector") or {"name": "mlp"})
     conn_name = conn_spec.get("name", "mlp")
-    if not registry.has("connector", conn_name):
-        registry.create("connector", conn_name)
+    registry.require("connector", conn_name)
     conn_raw = dict(conn_spec.get("config") or {})
     conn_raw.setdefault("d_v", d_v)
     conn_raw.setdefault("d_m", llm_cfg.width)
@@ -231,8 +241,7 @@ def resolve_model_config(cfg: dict) -> dict:
     out["connector"] = {"name": conn_name, "config": asdict(conn_cfg)}
 
     template_name = cfg.get("template", "llava_v1")
-    if not registry.has("template", template_name):
-        registry.create("template", template_name)
+    registry.require("template", template_name)
     out["template"] = template_name
 
     aspect = cfg.get("image_aspect_ratio", "square")

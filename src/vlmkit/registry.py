@@ -1,8 +1,8 @@
 """Name-indexed component factories.
 
-Five kinds of component are registered: vision towers, connectors,
-language models, chat templates, and training recipes. Built-ins register
-themselves at import time; user code extends the same tables, after which
+Four kinds of component are registered: vision towers, connectors,
+language models, and chat templates. Built-ins register themselves at
+import time; user code extends the same tables, after which
 a registered name is creatable from configuration alone.
 """
 
@@ -12,7 +12,7 @@ from typing import Any, Callable, Dict, List
 
 from .errors import RegistryError
 
-KINDS = ("vision", "connector", "llm", "template", "recipe")
+KINDS = ("vision", "connector", "llm", "template")
 
 
 class ComponentRegistry:
@@ -32,18 +32,19 @@ class ComponentRegistry:
             raise RegistryError(f"{kind} component '{name}' is already registered")
         table[name] = factory
 
-    def create(self, kind: str, name: str, *args: Any, **kwargs: Any):
+    def require(self, kind: str, name: str) -> Callable:
+        """The factory registered under `name`; unknown names list the candidates."""
         table = self._table(kind)
         if name not in table:
             available = ", ".join(sorted(table)) or "<none>"
             raise RegistryError(f"unknown {kind} component '{name}'; available: {available}")
-        return table[name](*args, **kwargs)
+        return table[name]
+
+    def create(self, kind: str, name: str, *args: Any, **kwargs: Any):
+        return self.require(kind, name)(*args, **kwargs)
 
     def names(self, kind: str) -> List[str]:
         return sorted(self._table(kind))
-
-    def has(self, kind: str, name: str) -> bool:
-        return name in self._table(kind)
 
 
 registry = ComponentRegistry()

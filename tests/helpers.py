@@ -1,8 +1,15 @@
-"""Shared test helpers: random multilingual conversations."""
+"""Shared test helpers: random multilingual conversations, the fuzz profile."""
 
 import numpy as np
+from hypothesis import settings
 
 from vlmkit.data import Conversation, Turn
+
+# Fuzz tests see the same examples on every run, with no per-example time
+# limit, so a slow or loaded machine cannot make them flake.
+settings.register_profile("fuzz", derandomize=True, deadline=None, max_examples=200,
+                          database=None)
+FUZZ = settings.get_profile("fuzz")
 
 # Mixed-script words exercise multi-byte UTF-8 through the byte tokenizer.
 WORDS = [

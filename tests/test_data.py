@@ -105,6 +105,28 @@ def test_load_dataset_rejects_role_violation(tmp_path):
         load_dataset(str(p))
 
 
+_QA = [{"from": "human", "value": "<image>\nq"}, {"from": "gpt", "value": "a"}]
+
+
+@pytest.mark.parametrize("records, named", [
+    ([{"conversations": ["x"]}], "record 0: turn 0 must be an object"),
+    ([{"conversations": 5}], "record 0: 'conversations' must be an array"),
+    ([{"conversations": [{"from": ["human"], "value": "hi"}]}], "record 0: turn 0 has unknown"),
+    ([{"conversations": [{"from": "human", "value": None}]}], "record 0: turn 0 'value'"),
+    ([{"id": "a", "image": "x.ppm", "conversations": _QA},
+      {"id": "b", "image": 3, "conversations": _QA}], "record 1: 'image'"),
+    ([{"id": "a", "image": "x.ppm", "conversations": _QA},
+      {"id": "a", "image": "y.ppm", "conversations": _QA}],
+     "record 1: id 'a' already used by record 0"),
+])
+def test_load_dataset_rejects_malformed_records(tmp_path, records, named):
+    p = tmp_path / "d.json"
+    p.write_text(json.dumps(records))
+    with pytest.raises(ValidationError) as ei:
+        load_dataset(str(p))
+    assert named in str(ei.value)
+
+
 def test_load_dataset_malformed_json(tmp_path):
     p = tmp_path / "d.json"
     p.write_text("{not json")
@@ -372,6 +394,15 @@ def test_load_ppm_rejects_truncated(tmp_path):
     p.write_bytes(b"P6\n2 2\n255\n\x00\x00\x00")
     with pytest.raises(ValidationError):
         load_ppm(str(p))
+
+
+@pytest.mark.parametrize("size, field", [("-2 2", "width"), ("0 0", "width"), ("3 0", "height")])
+def test_load_ppm_rejects_non_positive_size(tmp_path, size, field):
+    p = tmp_path / "empty.ppm"
+    p.write_bytes(b"P6\n" + size.encode() + b"\n255\n")
+    with pytest.raises(ValidationError) as ei:
+        load_ppm(str(p))
+    assert str(p) in str(ei.value) and f"PPM {field} must be positive" in str(ei.value)
 
 
 def test_preprocess_constant_images():

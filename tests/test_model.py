@@ -23,7 +23,7 @@ from vlmkit.model import (
     multimodal,
     sequence_loss,
 )
-from vlmkit.numerics import Rng, Tensor, concat, narrow, no_grad, scale
+from vlmkit.numerics import AdamW, Rng, Tensor, concat, narrow, no_grad, scale
 from vlmkit.numerics.ops import IGNORE_INDEX
 from vlmkit.registry import registry
 
@@ -71,6 +71,16 @@ def test_registry_unknown_name_lists_candidates():
     msg = str(ei.value)
     for name in ("identity", "linear", "mlp", "qformer", "resampler"):
         assert name in msg
+
+
+def test_registry_require_returns_the_factory_or_lists_candidates():
+    assert registry.require("connector", "identity") is not None
+    with pytest.raises(RegistryError) as ei:
+        registry.require("template", "nope")
+    assert "available: gemma_like, llava_v1, plain" in str(ei.value)
+    with pytest.raises(RegistryError) as ei:
+        build_model({"llm": {"name": "nope"}}, seed=0)
+    assert "unknown llm component 'nope'; available: " in str(ei.value)
 
 
 def test_registry_user_registration_round_trip():
@@ -487,6 +497,157 @@ def test_generate_composes_once_and_runs_no_forward_past_the_budget(monkeypatch)
     assert len(calls) == 1
     assert len(seen) == 3
     assert EOS_ID not in [int(np.argmax(row)) for row in seen]
+
+
+# -- reuse of the prompt head's keys and values -------------------------------------
+
+
+def _other_question_conv(prefix=""):
+    return Conversation(
+        id="h", image_path="x.ppm",
+        turns=[Turn("human", prefix + "<image>\nHow many shapes are there?")])
+
+
+def _head_len(model, conv):
+    conv = Conversation(conv.id, conv.image_path, conv.turns + [Turn("assistant", "")])
+    ids, image_idx = tokenize_prompt(conv, model.template(), ByteTokenizer())
+    return len(ids) - 1 if image_idx is None else image_idx
+
+
+def _decode_against_uncached(model, conv, img, budget=6):
+    """Run `generate`, check it against the uncached decode step by step.
+
+    Returns the answer and the cache length its first forward started from:
+    the head's length on a hit, 0 on a miss.
+    """
+    want, want_logits = _uncached_decode(model, conv, img, budget)
+    starts, seen = [], []
+    orig = model.llm.forward
+
+    def forward(embeds, cache=None):
+        starts.append(cache.length)
+        out = orig(embeds, cache)
+        seen.append(out.data[-1].copy())
+        return out
+
+    model.llm.forward = forward
+    try:
+        got = generate(model, conv, img, max_new_tokens=budget)
+    finally:
+        del model.llm.forward
+    assert [int(np.argmax(row)) for row in seen] == want
+    assert got == ByteTokenizer().decode(want)
+    for row, want_row in zip(seen, want_logits):
+        np.testing.assert_allclose(row, want_row, rtol=0, atol=1e-5)
+    return got, starts[0]
+
+
+@pytest.mark.parametrize("connector", ALL_CONNECTORS)
+@pytest.mark.parametrize("mof", [False, True])
+def test_head_reuse_matches_uncached_decode_full_grid(connector, mof, monkeypatch):
+    model = build_model(tiny_model_cfg(connector=connector, mof=mof), seed=SEED)
+    _, start = _decode_against_uncached(model, _question_conv(), random_image(seed=14))
+    assert start == 0
+    _, start = _decode_against_uncached(model, _other_question_conv(), random_image(seed=15))
+    assert start == _head_len(model, _other_question_conv()) > 0
+    calls = []
+    compose = multimodal.compose_multimodal
+    monkeypatch.setattr(multimodal, "compose_multimodal",
+                        lambda *a, **k: calls.append(1) or compose(*a, **k))
+    generate(model, _question_conv(), random_image(seed=16), max_new_tokens=6)
+    assert len(calls) == 1
+
+
+def test_head_reuse_hit_gives_the_string_of_a_miss():
+    warm = build_model(tiny_model_cfg(connector="qformer"), seed=SEED)
+    generate(warm, _question_conv(), random_image(seed=16), max_new_tokens=6)
+    for seed in (17, 18, 19):
+        img = random_image(seed=seed)
+        hit, start = _decode_against_uncached(warm, _other_question_conv(), img)
+        assert start > 0
+        cold = build_model(tiny_model_cfg(connector="qformer"), seed=SEED)
+        miss, start = _decode_against_uncached(cold, _other_question_conv(), img)
+        assert start == 0
+        assert hit == miss
+
+
+def _bump_one_weight(model):
+    # One row, not the whole matrix: the LayerNorm output feeding wv sums to
+    # ~0 over features, so a uniform shift would leave stale values within 1e-5.
+    model.llm.blocks[0].attn.wv.w.data[0] += 1e-3
+
+
+def _one_adamw_step(model):
+    opt = AdamW(model.named_parameters(), lr=1e-3)
+    loss, _ = sequence_loss(model, _sample_for(model, seed=3))
+    loss.backward()
+    opt.step()
+
+
+@pytest.mark.parametrize("change", [_bump_one_weight, _one_adamw_step])
+def test_head_reuse_misses_after_an_in_place_weight_change(change):
+    model = build_model(tiny_model_cfg(), seed=SEED)
+    img = random_image(seed=20)
+    _decode_against_uncached(model, _question_conv(), img)
+    _, start = _decode_against_uncached(model, _question_conv(), img)
+    assert start > 0
+    change(model)
+    fresh, start = _decode_against_uncached(model, _question_conv(), img)
+    assert start == 0
+    cold = build_model(tiny_model_cfg(), seed=SEED)
+    change(cold)
+    assert fresh == generate(cold, _question_conv(), img, max_new_tokens=6)
+
+
+@pytest.mark.parametrize("other", ["template", "head"])
+def test_head_reuse_misses_on_another_head(other):
+    model = build_model(tiny_model_cfg(), seed=SEED)
+    img = random_image(seed=21)
+    generate(model, _other_question_conv(prefix="Look: "), img, max_new_tokens=6)
+    if other == "template":
+        model._template_name = "gemma_like"
+        conv = _other_question_conv(prefix="Look: ")
+    else:   # a head of the same length
+        conv = _other_question_conv(prefix="Book: ")
+    _, start = _decode_against_uncached(model, conv, img)
+    assert start == 0
+    _, start = _decode_against_uncached(model, conv, img)
+    assert start == _head_len(model, conv)
+
+
+def test_head_reuse_never_writes_the_stored_keys_and_values():
+    model = build_model(tiny_model_cfg(), seed=SEED)
+    generate(model, _question_conv(), random_image(seed=22), max_new_tokens=6)
+    entry = model.llm._head
+    before = [(k.data.tobytes(), v.data.tobytes()) for k, v in entry.kv]
+    for seed in (23, 24):
+        _, start = _decode_against_uncached(model, _other_question_conv(), random_image(seed=seed))
+        assert start == len(entry.ids)
+    assert model.llm._head is entry
+    assert [(k.data.tobytes(), v.data.tobytes()) for k, v in entry.kv] == before
+
+
+def test_head_reuse_text_only_prompts():
+    model = build_model(tiny_model_cfg(), seed=SEED)
+    conv = Conversation(id="t", turns=[Turn("human", "What is a square?")])
+    _, start = _decode_against_uncached(model, conv, None)
+    assert start == 0
+    _, start = _decode_against_uncached(model, conv, None)
+    assert start == _head_len(model, conv)
+    other = Conversation(id="u", turns=[Turn("human", "What is a circle?")])
+    _, start = _decode_against_uncached(model, other, None)
+    assert start == 0
+
+
+def test_head_reuse_image_first_plain_prompt_stores_nothing():
+    cfg = tiny_model_cfg()
+    cfg["template"] = "plain"
+    model = build_model(cfg, seed=SEED)
+    assert _head_len(model, _question_conv()) == 0
+    for seed in (25, 26):
+        _, start = _decode_against_uncached(model, _question_conv(), random_image(seed=seed))
+        assert start == 0
+        assert model.llm._head is None
 
 
 # -- config resolution ---------------------------------------------------------
