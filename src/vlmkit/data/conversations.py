@@ -88,7 +88,10 @@ def conversation_from_record(record: dict, index: int) -> Conversation:
     if image is not None and not (isinstance(image, str) and image):
         raise ValidationError(f"record {index}: 'image' must be a non-empty path string, "
                               f"got {image!r}")
-    conv = Conversation(id=str(record.get("id", index)), image_path=image, turns=turns)
+    conv_id = record.get("id", str(index))
+    if not isinstance(conv_id, str):
+        raise ValidationError(f"record {index}: 'id' must be a string, got {conv_id!r}")
+    conv = Conversation(id=conv_id, image_path=image, turns=turns)
     try:
         conv.validate()
     except ValidationError as exc:
@@ -99,7 +102,8 @@ def conversation_from_record(record: dict, index: int) -> Conversation:
 def load_dataset(path: str) -> List[Conversation]:
     """Parse a dataset file, preserving record order; rejects bad records.
 
-    Record ids must be unique; a record without an id takes its index.
+    Record ids are strings and must be unique; a record without an id takes
+    its index as its id.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -113,8 +117,10 @@ def load_dataset(path: str) -> List[Conversation]:
         conv = conversation_from_record(rec, i)
         first = first_index.setdefault(conv.id, i)
         if first != i:
+            implicit = [k for k in (first, i) if "id" not in raw[k]]
+            note = f" (record {implicit[0]} has no id and takes its index)" if implicit else ""
             raise ValidationError(
-                f"record {i}: id '{conv.id}' already used by record {first}")
+                f"record {i}: id '{conv.id}' already used by record {first}{note}")
         convs.append(conv)
     return convs
 

@@ -20,7 +20,8 @@ logits one uncached forward over the full sequence would, up to float32
 rounding. No call may reach past `max_positions`.
 
 Prompts under one chat template share a head: every id before the image
-placeholder (BOS, the system message, the user prefix). The model keeps one
+placeholder (BOS, the system message, the user prefix); a prompt without an
+image has an empty head, which is never stored. The model keeps one
 entry for the last head it saw: the head ids, narrow views of the head's
 keys and values in each block, and the bytes of every parameter at the time.
 `head_cache(head)` starts a cache from that entry only when the ids are equal

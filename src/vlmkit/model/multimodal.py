@@ -141,14 +141,14 @@ def generate(model: MultimodalModel, conv: Conversation,
     against the cached keys and values. Decoding stops before a token would
     need position `max_positions`, and runs no forward once the budget is spent.
 
-    The prompt's head is every id before the image placeholder, or without an
-    image every id but the last; under one template it is the same for every
-    prompt. The LLM keeps the head's keys and values from the last prefill (one
-    entry per model). When the next prompt has the same head and every LLM
-    parameter is byte-equal to the snapshot taken with them, the cache starts
-    from that entry and the prefill runs only the rest of the prompt. Otherwise
-    the whole prompt is prefilled and its head becomes the entry. An empty head
-    (the image first) is never stored.
+    The prompt's head is every id before the image placeholder; under one
+    template it is the same for every prompt. The LLM keeps the head's keys and
+    values from the last prefill (one entry per model). When the next prompt has
+    the same head and every LLM parameter is byte-equal to the snapshot taken
+    with them, the cache starts from that entry and the prefill runs only the
+    rest of the prompt. Otherwise the whole prompt is prefilled and its head
+    becomes the entry. A prompt without an image has an empty head, as does one
+    with the image first: it neither uses nor replaces the entry.
     """
     if conv.turns and conv.turns[-1].role != ROLE_ASSISTANT:
         conv = Conversation(conv.id, conv.image_path, conv.turns + [Turn(ROLE_ASSISTANT, "")])
@@ -166,7 +166,7 @@ def generate(model: MultimodalModel, conv: Conversation,
         need = len(ids) if image_embeds is None else len(ids) - 1 + image_embeds.shape[0]
         if need > max_pos:
             raise ValidationError(f"prompt needs {need} positions, model allows {max_pos}")
-        head = ids[:len(ids) - 1 if image_idx is None else image_idx]
+        head = ids[:0 if image_idx is None else image_idx]
         cache = llm.head_cache(head)
         start = cache.length
         embeds, _, _ = compose_multimodal(

@@ -118,6 +118,15 @@ _QA = [{"from": "human", "value": "<image>\nq"}, {"from": "gpt", "value": "a"}]
     ([{"id": "a", "image": "x.ppm", "conversations": _QA},
       {"id": "a", "image": "y.ppm", "conversations": _QA}],
      "record 1: id 'a' already used by record 0"),
+    ([{"id": "1", "image": "x.ppm", "conversations": _QA},
+      {"image": "y.ppm", "conversations": _QA}],
+     "record 1: id '1' already used by record 0 (record 1 has no id and takes its index)"),
+    ([{"image": "x.ppm", "conversations": _QA},
+      {"id": "0", "image": "y.ppm", "conversations": _QA}],
+     "record 1: id '0' already used by record 0 (record 0 has no id and takes its index)"),
+    ([{"id": "1", "image": "x.ppm", "conversations": _QA},
+      {"id": 1, "image": "y.ppm", "conversations": _QA}], "record 1: 'id' must be a string"),
+    ([{"id": None, "conversations": _QA[1:]}], "record 0: 'id' must be a string, got None"),
 ])
 def test_load_dataset_rejects_malformed_records(tmp_path, records, named):
     p = tmp_path / "d.json"

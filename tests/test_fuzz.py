@@ -43,6 +43,9 @@ QUESTION = [{"from": "human", "value": "<image>\nq"}, {"from": "gpt", "value": "
 @example(records=[{"id": "a", "image": 3, "conversations": QUESTION}])
 @example(records=[{"id": "a", "image": "x.ppm", "conversations": QUESTION},
                   {"id": "a", "image": "y.ppm", "conversations": QUESTION}])
+@example(records=[{"id": None}])
+@example(records=[{"id": 1}, {"id": "1"}])
+@example(records=[{"id": "1"}, {}])
 def test_load_dataset_loads_or_names_the_record(tmp_path_factory, records):
     path = tmp_path_factory.getbasetemp() / "fuzz_dataset.json"
     path.write_text(json.dumps(records), encoding="utf-8")
@@ -51,12 +54,13 @@ def test_load_dataset_loads_or_names_the_record(tmp_path_factory, records):
     except VlmkitError as exc:
         named = re.match(r"record (\d+): ", str(exc))
         assert named and int(named.group(1)) < len(records), str(exc)
-        earlier = re.search(r"already used by record (\d+)$", str(exc))
+        earlier = re.search(r"already used by record (\d+)", str(exc))
         assert earlier is None or int(earlier.group(1)) < int(named.group(1)), str(exc)
         return
     assert len(convs) == len(records)
     assert len({c.id for c in convs}) == len(convs)
-    for conv in convs:
+    for i, (rec, conv) in enumerate(zip(records, convs)):
+        assert conv.id == rec.get("id", str(i))
         assert conv.image_path is None or (isinstance(conv.image_path, str) and conv.image_path)
         for turn in conv.turns:
             assert turn.role in (ROLE_HUMAN, ROLE_ASSISTANT)

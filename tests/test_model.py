@@ -511,7 +511,7 @@ def _other_question_conv(prefix=""):
 def _head_len(model, conv):
     conv = Conversation(conv.id, conv.image_path, conv.turns + [Turn("assistant", "")])
     ids, image_idx = tokenize_prompt(conv, model.template(), ByteTokenizer())
-    return len(ids) - 1 if image_idx is None else image_idx
+    return 0 if image_idx is None else image_idx
 
 
 def _decode_against_uncached(model, conv, img, budget=6):
@@ -627,16 +627,19 @@ def test_head_reuse_never_writes_the_stored_keys_and_values():
     assert [(k.data.tobytes(), v.data.tobytes()) for k, v in entry.kv] == before
 
 
-def test_head_reuse_text_only_prompts():
+def test_head_reuse_text_only_prompts_neither_use_nor_replace_the_entry():
     model = build_model(tiny_model_cfg(), seed=SEED)
-    conv = Conversation(id="t", turns=[Turn("human", "What is a square?")])
-    _, start = _decode_against_uncached(model, conv, None)
-    assert start == 0
-    _, start = _decode_against_uncached(model, conv, None)
-    assert start == _head_len(model, conv)
-    other = Conversation(id="u", turns=[Turn("human", "What is a circle?")])
-    _, start = _decode_against_uncached(model, other, None)
-    assert start == 0
+    _decode_against_uncached(model, _question_conv(), random_image(seed=27))
+    entry = model.llm._head
+    assert entry is not None
+    text = Conversation(id="t", turns=[Turn("human", "What is a square?")])
+    assert _head_len(model, text) == 0
+    for _ in range(2):
+        _, start = _decode_against_uncached(model, text, None)
+        assert start == 0
+        assert model.llm._head is entry
+    _, start = _decode_against_uncached(model, _other_question_conv(), random_image(seed=28))
+    assert start == len(entry.ids)
 
 
 def test_head_reuse_image_first_plain_prompt_stores_nothing():
