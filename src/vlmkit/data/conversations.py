@@ -60,9 +60,6 @@ class Conversation:
                 f"conversation '{self.id}': image path and '{IMAGE_PLACEHOLDER}' placeholder "
                 "must be present together")
 
-    def has_assistant_turn(self) -> bool:
-        return any(t.role == ROLE_ASSISTANT for t in self.turns)
-
 
 def conversation_from_record(record: dict, index: int) -> Conversation:
     if not isinstance(record, dict):
@@ -105,11 +102,13 @@ def load_dataset(path: str) -> List[Conversation]:
     Record ids are strings and must be unique; a record without an id takes
     its index as its id.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise ValidationError(f"{path}: not valid JSON ({exc})") from None
+    except OSError as exc:
+        raise ValidationError(f"{path}: cannot read ({exc.strerror})") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(raw, list):
         raise ValidationError(f"{path}: top level must be a JSON array")
     convs, first_index = [], {}

@@ -14,8 +14,11 @@ from ..errors import ValidationError
 
 
 def load_ppm(path: str) -> np.ndarray:
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except OSError as exc:
+        raise ValidationError(f"{path}: cannot read ({exc.strerror})") from None
     if not blob.startswith(b"P6"):
         raise ValidationError(f"{path}: not a binary PPM (P6) file")
 

@@ -1,10 +1,11 @@
 """Tokenization with ground-truth label masking, and batch collation.
 
-Each rendered segment (system message, role markers, turn texts, specials)
-is tokenized independently and concatenated, so token boundaries never
-straddle segments. Labels carry the token id inside assistant answer text
-plus its terminator (EOS or the assistant suffix) and IGNORE_INDEX (-100)
-everywhere else.
+The segments come from `templates.template_segments`, which alone defines
+their order. Each segment (system message, role markers, turn texts,
+specials) is tokenized independently and concatenated, so token boundaries
+never straddle segments and "<image>" never spans a template marker. Labels
+carry the token id inside assistant answer text plus its terminator (EOS or
+the assistant suffix) and IGNORE_INDEX (-100) everywhere else.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ import numpy as np
 
 from ..errors import ValidationError
 from ..numerics.ops import IGNORE_INDEX
-from .conversations import Conversation, ROLE_ASSISTANT, ROLE_HUMAN
-from .templates import ChatTemplate
-from .tokenizer import BOS_ID, EOS_ID, IMAGE_ID, PAD_ID, ByteTokenizer
+from .conversations import Conversation
+from .templates import ChatTemplate, template_segments
+from .tokenizer import IMAGE_ID, PAD_ID, ByteTokenizer
 
 
 @dataclass
@@ -33,6 +34,15 @@ class TokenizedSample:
         return int(self.input_ids.shape[0])
 
 
+def _encode(piece, tok: ByteTokenizer) -> List[int]:
+    return [piece] if isinstance(piece, int) else tok.encode(piece)
+
+
+def _image_index(ids: np.ndarray) -> Optional[int]:
+    pos = np.where(ids == IMAGE_ID)[0]
+    return int(pos[0]) if pos.size else None
+
+
 def tokenize_and_label(conv: Conversation, tpl: ChatTemplate, tok: ByteTokenizer,
                        require_assistant: bool = True) -> TokenizedSample:
     """Tokenize a conversation and mask everything but the answers.
@@ -40,78 +50,41 @@ def tokenize_and_label(conv: Conversation, tpl: ChatTemplate, tok: ByteTokenizer
     With require_assistant=False (pretraining mode) a conversation without
     any assistant turn is allowed and yields all-ignored labels.
     """
-    conv.validate()
-    if require_assistant and not conv.has_assistant_turn():
-        raise ValidationError(f"conversation '{conv.id}' has no assistant turn")
-
     ids: List[int] = []
     labels: List[int] = []
-
-    def emit_text(text: str, supervised: bool):
-        for tid in tok.encode(text):
-            ids.append(tid)
-            labels.append(tid if supervised and tid != IMAGE_ID else IGNORE_INDEX)
-
-    if tpl.add_bos:
-        ids.append(BOS_ID)
-        labels.append(IGNORE_INDEX)
-    emit_text(tpl.system_message, False)
-    for turn in conv.turns:
-        if turn.role == ROLE_HUMAN:
-            emit_text(tpl.user_prefix, False)
-            emit_text(turn.text, False)
-            emit_text(tpl.user_suffix, False)
-        else:
-            emit_text(tpl.assistant_prefix, False)
-            emit_text(turn.text, True)
-            emit_text(tpl.assistant_suffix, True)
-            if tpl.add_eos_after_assistant:
-                ids.append(EOS_ID)
-                labels.append(EOS_ID)
+    answered = False      # every assistant turn yields supervised segments
+    for piece, supervised in template_segments(conv, tpl):
+        seg = _encode(piece, tok)
+        ids.extend(seg)
+        labels.extend(seg if supervised else [IGNORE_INDEX] * len(seg))
+        answered |= supervised
+    if require_assistant and not answered:
+        raise ValidationError(f"conversation '{conv.id}' has no assistant turn")
 
     arr_ids = np.asarray(ids, dtype=np.int32)
-    image_positions = np.where(arr_ids == IMAGE_ID)[0]
-    image_token_index = int(image_positions[0]) if image_positions.size else None
+    arr_labels = np.asarray(labels, dtype=np.int32)
+    arr_labels[arr_ids == IMAGE_ID] = IGNORE_INDEX
     return TokenizedSample(
         input_ids=arr_ids,
-        labels=np.asarray(labels, dtype=np.int32),
-        image_token_index=image_token_index,
+        labels=arr_labels,
+        image_token_index=_image_index(arr_ids),
         conv_id=conv.id,
     )
 
 
 def tokenize_prompt(conv: Conversation, tpl: ChatTemplate,
                     tok: ByteTokenizer) -> Tuple[np.ndarray, Optional[int]]:
-    """Token ids for a generation prompt.
+    """Token ids for a generation prompt, and the image placeholder's index.
 
-    Walks the same segments as tokenize_and_label but stops after the final
-    assistant prefix: a trailing assistant turn contributes its prefix only,
-    and a conversation ending on a human turn gets the prefix appended.
+    The ids are those of tokenize_and_label cut right after the final
+    assistant prefix; a conversation ending on a human turn gets the prefix
+    appended.
     """
-    conv.validate()
     ids: List[int] = []
-    if tpl.add_bos:
-        ids.append(BOS_ID)
-    ids.extend(tok.encode(tpl.system_message))
-    last = len(conv.turns) - 1
-    for i, turn in enumerate(conv.turns):
-        if turn.role == ROLE_HUMAN:
-            ids.extend(tok.encode(tpl.user_prefix))
-            ids.extend(tok.encode(turn.text))
-            ids.extend(tok.encode(tpl.user_suffix))
-            if i == last:
-                ids.extend(tok.encode(tpl.assistant_prefix))
-        else:
-            ids.extend(tok.encode(tpl.assistant_prefix))
-            if i == last:
-                break
-            ids.extend(tok.encode(turn.text))
-            ids.extend(tok.encode(tpl.assistant_suffix))
-            if tpl.add_eos_after_assistant:
-                ids.append(EOS_ID)
+    for piece, _ in template_segments(conv, tpl, prompt=True):
+        ids.extend(_encode(piece, tok))
     arr = np.asarray(ids, dtype=np.int32)
-    pos = np.where(arr == IMAGE_ID)[0]
-    return arr, (int(pos[0]) if pos.size else None)
+    return arr, _image_index(arr)
 
 
 @dataclass

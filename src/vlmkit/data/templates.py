@@ -8,15 +8,22 @@ ship built in:
   llava_v1    "USER: ... ASSISTANT: ..." with a system message
   gemma_like  start/end-of-turn delimiters, answer terminated by the
               end-of-turn marker instead of EOS
+
+The order of a conversation's pieces under a template is defined in one
+place, `template_segments`: BOS, system message, then per turn the user
+prefix/text/suffix or the assistant prefix/text/suffix and EOS. Rendering
+here and tokenizing in `labeling` only consume its segments.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator, Tuple, Union
 
 from ..errors import ValidationError
 from ..registry import register_component
-from .conversations import Conversation, ROLE_ASSISTANT, ROLE_HUMAN
+from .conversations import Conversation, ROLE_HUMAN
+from .tokenizer import BOS_ID, EOS_ID
 
 # String rendering of the EOS token in prompts (the tokenizer emits the
 # EOS id directly; this literal only appears in rendered text).
@@ -41,27 +48,51 @@ class ChatTemplate:
                 "add_eos_after_assistant or a non-empty assistant_suffix")
 
 
+def template_segments(conv: Conversation, tpl: ChatTemplate,
+                      prompt: bool = False) -> Iterator[Tuple[Union[str, int], bool]]:
+    """The (piece, supervised) segments of a validated conversation, in order.
+
+    A piece is text or a special id (BOS_ID, EOS_ID); supervised marks answer
+    text and its terminator, which training labels.
+
+    With prompt=True the walk stops right after the final assistant prefix:
+    a trailing assistant turn contributes its prefix only, and a conversation
+    ending on a human turn gets the prefix appended (a generation prompt).
+    """
+    conv.validate()
+    if tpl.add_bos:
+        yield BOS_ID, False
+    yield tpl.system_message, False
+    last = len(conv.turns) - 1
+    for i, turn in enumerate(conv.turns):
+        if turn.role == ROLE_HUMAN:
+            yield tpl.user_prefix, False
+            yield turn.text, False
+            yield tpl.user_suffix, False
+            if prompt and i == last:
+                yield tpl.assistant_prefix, False
+        else:
+            yield tpl.assistant_prefix, False
+            if prompt and i == last:
+                return
+            yield turn.text, True
+            yield tpl.assistant_suffix, True
+            if tpl.add_eos_after_assistant:
+                yield EOS_ID, True
+
+
+_SPECIAL_TEXT = {BOS_ID: "", EOS_ID: EOS_TEXT}
+
+
 def render_prompt(conv: Conversation, tpl: ChatTemplate,
                   include_last_assistant: bool = True) -> str:
     """Render a conversation to a flat string.
 
-    With include_last_assistant=False the final assistant turn keeps only
-    its prefix, producing a generation prompt.
+    With include_last_assistant=False the result is the generation prompt:
+    it ends on the final assistant prefix (see `template_segments`).
     """
-    conv.validate()
-    parts = [tpl.system_message]
-    last = len(conv.turns) - 1
-    for i, turn in enumerate(conv.turns):
-        if turn.role == ROLE_HUMAN:
-            parts.append(tpl.user_prefix + turn.text + tpl.user_suffix)
-        else:
-            if i == last and not include_last_assistant:
-                parts.append(tpl.assistant_prefix)
-            else:
-                parts.append(tpl.assistant_prefix + turn.text + tpl.assistant_suffix)
-                if tpl.add_eos_after_assistant:
-                    parts.append(EOS_TEXT)
-    return "".join(parts)
+    segments = template_segments(conv, tpl, prompt=not include_last_assistant)
+    return "".join(_SPECIAL_TEXT.get(piece, piece) for piece, _ in segments)
 
 
 PLAIN = ChatTemplate(name="plain")

@@ -8,13 +8,13 @@ output exactly `queries` tokens regardless of N.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import List
 
 from ..errors import DimensionError, ValidationError
 from ..numerics import Rng, Tensor, add, gelu
-from .layers import INIT_STD, FeedForward, LayerNorm, Linear, Module, MultiHeadAttention
-from .vision import _config_from_dict
+from .layers import (INIT_STD, FeedForward, LayerNorm, Linear, Module, MultiHeadAttention,
+                     config_from_dict)
 
 
 @dataclass(frozen=True)
@@ -27,7 +27,7 @@ class ConnectorConfig:
 
     @classmethod
     def from_dict(cls, cfg: dict) -> "ConnectorConfig":
-        return _config_from_dict(cls, cfg)
+        return config_from_dict(cls, cfg)
 
 
 class Connector(Module):
@@ -112,29 +112,26 @@ class _CrossBlock(Module):
     __call__ = forward
 
 
-class _QFormerBlock(Module):
-    """Self-attention over the queries, then cross-attention, then FF."""
+class _QFormerBlock(_CrossBlock):
+    """Self-attention over the queries, then the cross block."""
 
     def __init__(self, d_m: int, d_v: int, heads: int, rng: Rng):
         self.ln_self = LayerNorm(d_m)
         self.self_attn = MultiHeadAttention(d_m, heads, rng.split("self"))
-        self.ln_q = LayerNorm(d_m)
-        self.cross = MultiHeadAttention(d_m, heads, rng.split("cross"), d_kv_in=d_v)
-        self.ln_ff = LayerNorm(d_m)
-        self.ff = FeedForward(d_m, rng.split("ff"))
+        super().__init__(d_m, d_v, heads, rng)
 
     def forward(self, q: Tensor, feats: Tensor) -> Tensor:
         normed = self.ln_self(q)
-        q = add(q, self.self_attn(normed, normed))
-        q = add(q, self.cross(self.ln_q(q), feats))
-        q = add(q, self.ff(self.ln_ff(q)))
-        return q
+        return super().forward(add(q, self.self_attn(normed, normed)), feats)
 
     __call__ = forward
 
 
 class ResamplerConnector(Connector):
+    """Learned queries refined by a stack of `block_class` blocks over the features."""
+
     kind = "resampler"
+    block_class = _CrossBlock
 
     def __init__(self, config: ConnectorConfig, rng: Rng):
         super().__init__(config)
@@ -142,7 +139,7 @@ class ResamplerConnector(Connector):
             rng.split("queries").normal((config.queries, config.d_m), std=INIT_STD),
             requires_grad=True)
         self.blocks: List[_CrossBlock] = [
-            _CrossBlock(config.d_m, config.d_v, config.heads, rng.split(f"block{i}"))
+            self.block_class(config.d_m, config.d_v, config.heads, rng.split(f"block{i}"))
             for i in range(config.depth)
         ]
 
@@ -156,27 +153,9 @@ class ResamplerConnector(Connector):
     __call__ = forward
 
 
-class QFormerConnector(Connector):
+class QFormerConnector(ResamplerConnector):
     kind = "qformer"
-
-    def __init__(self, config: ConnectorConfig, rng: Rng):
-        super().__init__(config)
-        self.query_embed = Tensor(
-            rng.split("queries").normal((config.queries, config.d_m), std=INIT_STD),
-            requires_grad=True)
-        self.blocks: List[_QFormerBlock] = [
-            _QFormerBlock(config.d_m, config.d_v, config.heads, rng.split(f"block{i}"))
-            for i in range(config.depth)
-        ]
-
-    def forward(self, feats: Tensor) -> Tensor:
-        self._check_input(feats)
-        q = self.query_embed
-        for block in self.blocks:
-            q = block(q, feats)
-        return q
-
-    __call__ = forward
+    block_class = _QFormerBlock
 
 
 CONNECTOR_CLASSES = {

@@ -1,4 +1,5 @@
-"""Shared building blocks: modules, linear/norm layers, attention, MLP.
+"""Shared building blocks: modules, linear/norm layers, attention, MLP, and
+strict parsing of component configs.
 
 Parameter discovery walks instance attributes in insertion order, so
 parameter paths are stable strings like "blocks.0.attn.wq.w". Attributes
@@ -8,13 +9,24 @@ starting with an underscore are ignored.
 from __future__ import annotations
 
 import math
+from dataclasses import fields
 from typing import List, Optional, Tuple
 
-from ..errors import DimensionError
+from ..errors import DimensionError, ValidationError
 from ..numerics import (Rng, Tensor, add, concat, gelu, layer_norm, matmul, reshape, rms_norm, scale,
                         softmax, transpose)
 
 INIT_STD = 0.02
+
+
+def config_from_dict(cls, cfg):
+    """Build config dataclass `cls` from a dict, rejecting unknown keys."""
+    cfg = dict(cfg or {})
+    known = {f.name for f in fields(cls)}
+    unknown = sorted(set(cfg) - known)
+    if unknown:
+        raise ValidationError(f"unknown {cls.__name__} keys: {', '.join(unknown)}")
+    return cls(**cfg)
 
 
 class Module:
@@ -36,25 +48,6 @@ class Module:
 
     def parameters(self) -> List[Tensor]:
         return [p for _, p in self.named_parameters()]
-
-    def named_linears(self, prefix: str = "") -> List[Tuple[str, "Linear"]]:
-        out: List[Tuple[str, "Linear"]] = []
-        for name, value in vars(self).items():
-            if name.startswith("_"):
-                continue
-            path = f"{prefix}{name}"
-            if isinstance(value, Linear):
-                out.append((path, value))
-            elif isinstance(value, Module):
-                out.extend(value.named_linears(prefix=path + "."))
-            elif isinstance(value, (list, tuple)):
-                for i, item in enumerate(value):
-                    if isinstance(item, Module):
-                        out.extend(item.named_linears(prefix=f"{path}.{i}."))
-        return out
-
-    def param_count(self) -> int:
-        return sum(p.size for p in self.parameters())
 
 
 class Linear(Module):

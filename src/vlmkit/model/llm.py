@@ -43,8 +43,7 @@ import numpy as np
 from ..data.tokenizer import VOCAB_SIZE
 from ..errors import ValidationError
 from ..numerics import Rng, Tensor, add, causal_mask, embedding, matmul, narrow, transpose
-from .layers import INIT_STD, LayerCache, Module, RMSNorm, TransformerBlock
-from .vision import _config_from_dict
+from .layers import INIT_STD, LayerCache, Module, RMSNorm, TransformerBlock, config_from_dict
 
 
 @dataclass(frozen=True)
@@ -61,7 +60,7 @@ class LLMConfig:
 
     @classmethod
     def from_dict(cls, cfg: dict) -> "LLMConfig":
-        return _config_from_dict(cls, cfg)
+        return config_from_dict(cls, cfg)
 
 
 class KVCache:

@@ -7,14 +7,12 @@ next-token shift happens exactly once, in `sequence_loss`.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import asdict
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..data.conversations import Conversation, ROLE_ASSISTANT, Turn
+from ..data.conversations import Conversation
 from ..data.labeling import TokenizedSample, tokenize_prompt
 from ..data.tokenizer import EOS_ID, ByteTokenizer
 from ..errors import ValidationError
@@ -31,23 +29,18 @@ _TOKENIZER = ByteTokenizer()
 
 class MultimodalModel(Module):
     def __init__(self, vision, connector: Connector, llm: LanguageModel,
-                 template_name: str, seed: int, config: dict,
+                 template_name: str, config: dict,
                  image_aspect_ratio: str = "square"):
         self.vision = vision
         self.connector = connector
         self.llm = llm
         self._template_name = template_name
-        self._seed = seed
         self._config = config
         self._image_aspect_ratio = image_aspect_ratio
 
     @property
     def template_name(self) -> str:
         return self._template_name
-
-    @property
-    def seed(self) -> int:
-        return self._seed
 
     @property
     def config(self) -> dict:
@@ -61,18 +54,11 @@ class MultimodalModel(Module):
     def image_size(self) -> int:
         return self.vision.config.image_size
 
-    def components(self) -> Dict[str, Module]:
-        return {"vision": self.vision, "connector": self.connector, "llm": self.llm}
-
     def encode_image(self, image: np.ndarray) -> Tensor:
         return self.connector(self.vision(image))
 
     def template(self):
         return registry.create("template", self._template_name)
-
-    def config_hash(self) -> str:
-        blob = json.dumps({"model": self._config, "seed": self._seed}, sort_keys=True)
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
 def compose_multimodal(ids: np.ndarray, labels: Optional[np.ndarray],
@@ -135,7 +121,8 @@ def generate(model: MultimodalModel, conv: Conversation,
              image: Optional[np.ndarray] = None, max_new_tokens: int = 8) -> str:
     """Greedy decoding until EOS or the token budget; deterministic.
 
-    The prompt is composed once and run through the LLM in one forward (the
+    The prompt, which `tokenize_prompt` ends on the assistant prefix, is
+    composed once and run through the LLM in one forward (the
     prefill), which fills a per-block K/V cache. Each later step embeds only
     the token just chosen and runs that one position, at the cache length,
     against the cached keys and values. Decoding stops before a token would
@@ -150,8 +137,6 @@ def generate(model: MultimodalModel, conv: Conversation,
     becomes the entry. A prompt without an image has an empty head, as does one
     with the image first: it neither uses nor replaces the entry.
     """
-    if conv.turns and conv.turns[-1].role != ROLE_ASSISTANT:
-        conv = Conversation(conv.id, conv.image_path, conv.turns + [Turn(ROLE_ASSISTANT, "")])
     tpl = model.template()
     ids, image_idx = tokenize_prompt(conv, tpl, _TOKENIZER)
     if (image_idx is not None) and image is None:
@@ -282,7 +267,6 @@ def build_model(model_cfg: dict, seed: int) -> MultimodalModel:
         connector=connector,
         llm=llm,
         template_name=resolved["template"],
-        seed=seed,
         config=resolved,
         image_aspect_ratio=resolved["image_aspect_ratio"],
     )

@@ -8,14 +8,15 @@ towers' output tokens (a0, b0, a1, b1, ...).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import List
 
 import numpy as np
 
 from ..errors import DimensionError, ValidationError
 from ..numerics import Rng, Tensor, add
-from .layers import INIT_STD, LayerNorm, Linear, Module, TransformerBlock, interleave_rows
+from .layers import (INIT_STD, LayerNorm, Linear, Module, TransformerBlock, config_from_dict,
+                     interleave_rows)
 
 
 @dataclass(frozen=True)
@@ -39,16 +40,7 @@ class VisionTowerConfig:
 
     @classmethod
     def from_dict(cls, cfg: dict) -> "VisionTowerConfig":
-        return _config_from_dict(cls, cfg)
-
-
-def _config_from_dict(cls, cfg):
-    cfg = dict(cfg or {})
-    known = {f.name for f in fields(cls)}
-    unknown = sorted(set(cfg) - known)
-    if unknown:
-        raise ValidationError(f"unknown {cls.__name__} keys: {', '.join(unknown)}")
-    return cls(**cfg)
+        return config_from_dict(cls, cfg)
 
 
 def patchify(image: np.ndarray, patch: int) -> np.ndarray:

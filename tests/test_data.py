@@ -13,6 +13,7 @@ from vlmkit.data import (
     ByteTokenizer,
     Conversation,
     EOS_ID,
+    EOS_TEXT,
     IMAGE_ID,
     PAD_ID,
     Turn,
@@ -136,6 +137,14 @@ def test_load_dataset_rejects_malformed_records(tmp_path, records, named):
     assert named in str(ei.value)
 
 
+@pytest.mark.parametrize("loader", [load_dataset, load_ppm])
+def test_loaders_name_a_missing_path(tmp_path, loader):
+    missing = str(tmp_path / "missing.file")
+    with pytest.raises(ValidationError) as ei:
+        loader(missing)
+    assert missing in str(ei.value)
+
+
 def test_load_dataset_malformed_json(tmp_path):
     p = tmp_path / "d.json"
     p.write_text("{not json")
@@ -190,6 +199,38 @@ def test_render_pure_and_templates_distinct():
         assert a == b
         rendered[name] = a
     assert len(set(rendered.values())) == len(rendered)
+
+
+def _decode_with_eos(ids):
+    """Decode ids, writing each EOS as the rendered EOS text."""
+    ids = np.asarray(ids)
+    return EOS_TEXT.join(TOK.decode(part) for part in np.split(ids, np.where(ids == EOS_ID)[0]))
+
+
+def test_render_agrees_with_tokenized_prompts():
+    # Rendering and tokenizing walk the same segments: decoding the ids gives
+    # the rendered text, and a generation prompt ends on the assistant prefix
+    # whether the last turn is an assistant or a human one.
+    rng = np.random.default_rng(5)
+    for k in range(60):
+        conv = random_conversation(rng, conv_id=f"c{k}")
+        if k % 3 == 0:
+            conv.turns.pop()
+        for tpl in BUILTIN_TEMPLATES.values():
+            full = tokenize_and_label(conv, tpl, TOK, require_assistant=False)
+            assert render_prompt(conv, tpl) == _decode_with_eos(full.input_ids)
+            ids, _ = tokenize_prompt(conv, tpl, TOK)
+            prompt = render_prompt(conv, tpl, include_last_assistant=False)
+            assert prompt == _decode_with_eos(ids)
+            assert prompt.endswith(tpl.assistant_prefix)
+
+
+def test_render_generation_prompt_after_human_turn_adds_prefix():
+    conv = _square_conv()
+    conv.turns.pop()
+    out = render_prompt(conv, BUILTIN_TEMPLATES["llava_v1"], include_last_assistant=False)
+    assert out.endswith("What color is the square? ASSISTANT: ")
+    assert render_prompt(conv, BUILTIN_TEMPLATES["llava_v1"]).endswith("square? ")
 
 
 # -- tokenize and label ------------------------------------------------------------

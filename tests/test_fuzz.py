@@ -1,18 +1,23 @@
-"""Fuzzing the error contract of the data loaders.
+"""Fuzzing the error contract of the data loaders and the tokenizers.
 
 For any input, `load_dataset` and `load_ppm` either return a well-formed
-result or raise a `VlmkitError` that names the record or the file.
+result or raise a `VlmkitError` that names the record or the file;
+`tokenize_and_label` and `tokenize_prompt` either raise a `VlmkitError` or
+return ids and labels that agree with each other and with the template.
 """
 
 import json
 import re
 
+import numpy as np
 from hypothesis import example, given, strategies as st
 
 from helpers import FUZZ
-from vlmkit.data import load_dataset, load_ppm
+from vlmkit.data import (BUILTIN_TEMPLATES, ByteTokenizer, Conversation, Turn, load_dataset,
+                         load_ppm, tokenize_and_label, tokenize_prompt)
 from vlmkit.data.conversations import ROLE_ASSISTANT, ROLE_HUMAN
 from vlmkit.errors import VlmkitError
+from vlmkit.numerics.ops import IGNORE_INDEX
 
 # -- load_dataset ------------------------------------------------------------------
 
@@ -104,3 +109,56 @@ def test_load_ppm_loads_or_names_the_field(tmp_path_factory, magic, width, heigh
     assert ints and magic == b"P6" and maxval == 255
     assert img.shape == (3, height, width) and height >= 1 and width >= 1
     assert img.min() >= 0.0 and img.max() <= 1.0
+
+
+# -- tokenize_and_label, tokenize_prompt -----------------------------------------------
+
+TOK = ByteTokenizer()
+# Any text, multi-byte UTF-8 included; some with image placeholders.
+PLAIN_TEXTS = st.text(max_size=8)
+TURN_TEXTS = PLAIN_TEXTS | st.lists(PLAIN_TEXTS, min_size=2, max_size=3).map("<image>".join)
+ROLES = st.sampled_from([ROLE_HUMAN, ROLE_ASSISTANT, "gpt", ""])
+
+
+@st.composite
+def conversations(draw):
+    """Often well-formed (alternating roles, one image in the first turn), often not."""
+    n = draw(st.integers(0, 5))
+    alternating = [ROLE_ASSISTANT if i % 2 else ROLE_HUMAN for i in range(n)]
+    roles = draw(st.just(alternating) | st.lists(ROLES, min_size=n, max_size=n))
+    texts = draw(st.lists(PLAIN_TEXTS, min_size=n, max_size=n)
+                 | st.lists(TURN_TEXTS, min_size=n, max_size=n))
+    if n and draw(st.booleans()):
+        at = draw(st.integers(0, len(texts[0])))
+        texts[0] = texts[0][:at] + "<image>" + texts[0][at:]
+    has_image = any("<image>" in t for t in texts)
+    image_path = draw(st.just("x.ppm" if has_image else None) | st.sampled_from([None, "x.ppm"]))
+    return Conversation("f", image_path, [Turn(r, t) for r, t in zip(roles, texts)])
+
+
+@FUZZ
+@given(conv=conversations(), tpl=st.sampled_from(list(BUILTIN_TEMPLATES.values())))
+def test_tokenize_labels_or_raises(conv, tpl):
+    try:
+        full = tokenize_and_label(conv, tpl, TOK, require_assistant=False)
+    except VlmkitError:
+        return
+    ids, labels = full.input_ids, full.labels
+    assert len(labels) == len(ids)
+    sup = labels != IGNORE_INDEX
+    assert (labels[sup] == ids[sup]).all()
+
+    prompt, image_index = tokenize_prompt(conv, tpl, TOK)
+    assert image_index == full.image_token_index
+    last = conv.turns[-1] if conv.turns else None
+    if last is None:
+        np.testing.assert_array_equal(prompt, ids)
+    elif last.role == ROLE_ASSISTANT:
+        # Cut at the start of the last answer span: its text, suffix and EOS.
+        span = (len(TOK.encode(last.text)) + len(TOK.encode(tpl.assistant_suffix))
+                + int(tpl.add_eos_after_assistant))
+        np.testing.assert_array_equal(prompt, ids[:len(ids) - span])
+        assert sup[len(ids) - span:].all()
+    else:
+        prefix = TOK.encode(tpl.assistant_prefix)
+        np.testing.assert_array_equal(prompt, np.concatenate([ids, prefix]))
