@@ -6,7 +6,7 @@ channel-first float32 [3, H, W] with values byte/255 in [0, 1].
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 

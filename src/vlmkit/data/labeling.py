@@ -3,7 +3,8 @@
 The segments come from `templates.template_segments`, which alone defines
 their order. Each segment (system message, role markers, turn texts,
 specials) is tokenized independently and concatenated, so token boundaries
-never straddle segments and "<image>" never spans a template marker. Labels
+never straddle segments, and `template_segments` rejects an "<image>" split
+across them. Labels
 carry the token id inside assistant answer text plus its terminator (EOS or
 the assistant suffix) and IGNORE_INDEX (-100) everywhere else.
 """
@@ -95,10 +96,6 @@ class Batch:
     images: Optional[np.ndarray]        # [B, 3, S, S] when every sample has one
     image_token_indices: List[Optional[int]] = field(default_factory=list)
     truncated: int = 0
-
-    @property
-    def size(self) -> int:
-        return int(self.ids.shape[0])
 
 
 def _truncation_cut(ids: np.ndarray, limit: int) -> int:

@@ -13,17 +13,22 @@ The order of a conversation's pieces under a template is defined in one
 place, `template_segments`: BOS, system message, then per turn the user
 prefix/text/suffix or the assistant prefix/text/suffix and EOS. Rendering
 here and tokenizing in `labeling` only consume its segments.
+
+Segments are tokenized one by one, so "<image>" split across two of them
+(human "q<ima", assistant "ge>") gives no IMAGE token, yet would render as
+one. `template_segments` rejects such a conversation, which keeps every
+rendered placeholder an IMAGE token.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Tuple, Union
+from typing import Iterator, List, Tuple, Union
 
 from ..errors import ValidationError
 from ..registry import register_component
 from .conversations import Conversation, ROLE_HUMAN
-from .tokenizer import BOS_ID, EOS_ID
+from .tokenizer import BOS_ID, EOS_ID, IMAGE_PLACEHOLDER
 
 # String rendering of the EOS token in prompts (the tokenizer emits the
 # EOS id directly; this literal only appears in rendered text).
@@ -48,8 +53,11 @@ class ChatTemplate:
                 "add_eos_after_assistant or a non-empty assistant_suffix")
 
 
+_SPECIAL_TEXT = {BOS_ID: "", EOS_ID: EOS_TEXT}
+
+
 def template_segments(conv: Conversation, tpl: ChatTemplate,
-                      prompt: bool = False) -> Iterator[Tuple[Union[str, int], bool]]:
+                      prompt: bool = False) -> List[Tuple[Union[str, int], bool]]:
     """The (piece, supervised) segments of a validated conversation, in order.
 
     A piece is text or a special id (BOS_ID, EOS_ID); supervised marks answer
@@ -58,8 +66,23 @@ def template_segments(conv: Conversation, tpl: ChatTemplate,
     With prompt=True the walk stops right after the final assistant prefix:
     a trailing assistant turn contributes its prefix only, and a conversation
     ending on a human turn gets the prefix appended (a generation prompt).
+
+    Raises ValidationError, naming the conversation, when the rendered
+    pieces join into an "<image>" that no single piece holds.
     """
     conv.validate()
+    segments = list(_walk(conv, tpl, prompt))
+    texts = [_SPECIAL_TEXT.get(piece, piece) for piece, _ in segments]
+    # A NUL between pieces breaks every placeholder that spans two of them.
+    if "".join(texts).count(IMAGE_PLACEHOLDER) != "\0".join(texts).count(IMAGE_PLACEHOLDER):
+        raise ValidationError(
+            f"conversation '{conv.id}': text split across template pieces joins into "
+            f"'{IMAGE_PLACEHOLDER}', which would render as a placeholder that is not one")
+    return segments
+
+
+def _walk(conv: Conversation, tpl: ChatTemplate,
+          prompt: bool) -> Iterator[Tuple[Union[str, int], bool]]:
     if tpl.add_bos:
         yield BOS_ID, False
     yield tpl.system_message, False
@@ -79,9 +102,6 @@ def template_segments(conv: Conversation, tpl: ChatTemplate,
             yield tpl.assistant_suffix, True
             if tpl.add_eos_after_assistant:
                 yield EOS_ID, True
-
-
-_SPECIAL_TEXT = {BOS_ID: "", EOS_ID: EOS_TEXT}
 
 
 def render_prompt(conv: Conversation, tpl: ChatTemplate,

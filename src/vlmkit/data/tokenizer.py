@@ -21,12 +21,6 @@ IMAGE_PLACEHOLDER = "<image>"
 
 
 class ByteTokenizer:
-    vocab_size = VOCAB_SIZE
-    bos_id = BOS_ID
-    eos_id = EOS_ID
-    pad_id = PAD_ID
-    image_id = IMAGE_ID
-
     def encode(self, text: str) -> List[int]:
         ids: List[int] = []
         parts = text.split(IMAGE_PLACEHOLDER)

@@ -34,7 +34,7 @@ from .multimodal import (
     resolve_model_config,
     sequence_loss,
 )
-from .vision import DualTower, VisionTower, VisionTowerConfig, mof_forward, patchify
+from .vision import DualTower, VisionTower, VisionTowerConfig, patchify
 
 VISION_TOWER_NAMES = ("clip_tiny", "siglip_tiny", "dino_tiny")
 LLM_NAMES = ("phi_tiny", "gemma_tiny", "llama_tiny")
@@ -84,7 +84,6 @@ __all__ = [
     "build_model",
     "compose_multimodal",
     "generate",
-    "mof_forward",
     "patchify",
     "resolve_model_config",
     "sequence_loss",

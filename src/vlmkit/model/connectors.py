@@ -14,7 +14,7 @@ from typing import List
 from ..errors import DimensionError, ValidationError
 from ..numerics import Rng, Tensor, add, gelu
 from .layers import (INIT_STD, FeedForward, LayerNorm, Linear, Module, MultiHeadAttention,
-                     config_from_dict)
+                     check_config_fields, config_from_dict)
 
 
 @dataclass(frozen=True)
@@ -24,6 +24,9 @@ class ConnectorConfig:
     queries: int = 4      # resampler / qformer only
     depth: int = 1        # resampler / qformer only
     heads: int = 4        # resampler / qformer only
+
+    def __post_init__(self):
+        check_config_fields(self)
 
     @classmethod
     def from_dict(cls, cfg: dict) -> "ConnectorConfig":
@@ -63,8 +66,6 @@ class IdentityConnector(Connector):
         self._check_input(feats)
         return feats
 
-    __call__ = forward
-
 
 class LinearConnector(Connector):
     kind = "linear"
@@ -76,8 +77,6 @@ class LinearConnector(Connector):
     def forward(self, feats: Tensor) -> Tensor:
         self._check_input(feats)
         return self.proj(feats)
-
-    __call__ = forward
 
 
 class MlpConnector(Connector):
@@ -91,8 +90,6 @@ class MlpConnector(Connector):
     def forward(self, feats: Tensor) -> Tensor:
         self._check_input(feats)
         return self.l2(gelu(self.l1(feats)))
-
-    __call__ = forward
 
 
 class _CrossBlock(Module):
@@ -109,8 +106,6 @@ class _CrossBlock(Module):
         q = add(q, self.ff(self.ln_ff(q)))
         return q
 
-    __call__ = forward
-
 
 class _QFormerBlock(_CrossBlock):
     """Self-attention over the queries, then the cross block."""
@@ -123,8 +118,6 @@ class _QFormerBlock(_CrossBlock):
     def forward(self, q: Tensor, feats: Tensor) -> Tensor:
         normed = self.ln_self(q)
         return super().forward(add(q, self.self_attn(normed, normed)), feats)
-
-    __call__ = forward
 
 
 class ResamplerConnector(Connector):
@@ -149,8 +142,6 @@ class ResamplerConnector(Connector):
         for block in self.blocks:
             q = block(q, feats)
         return q
-
-    __call__ = forward
 
 
 class QFormerConnector(ResamplerConnector):

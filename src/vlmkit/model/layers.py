@@ -1,6 +1,7 @@
 """Shared building blocks: modules, linear/norm layers, attention, MLP, and
 strict parsing of component configs.
 
+Calling a module runs its `forward`; subclasses define only `forward`.
 Parameter discovery walks instance attributes in insertion order, so
 parameter paths are stable strings like "blocks.0.attn.wq.w". Attributes
 starting with an underscore are ignored.
@@ -19,17 +20,39 @@ from ..numerics import (Rng, Tensor, add, concat, gelu, layer_norm, matmul, resh
 INIT_STD = 0.02
 
 
+def as_object(value, what: str) -> dict:
+    """`value` if it is a dict, {} for None; anything else is a ValidationError."""
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ValidationError(f"{what} must be an object, got {type(value).__name__}")
+    return value
+
+
 def config_from_dict(cls, cfg):
     """Build config dataclass `cls` from a dict, rejecting unknown keys."""
-    cfg = dict(cfg or {})
+    cfg = as_object(cfg, f"{cls.__name__} config")
     known = {f.name for f in fields(cls)}
-    unknown = sorted(set(cfg) - known)
+    unknown = sorted(str(key) for key in cfg if key not in known)
     if unknown:
         raise ValidationError(f"unknown {cls.__name__} keys: {', '.join(unknown)}")
     return cls(**cfg)
 
 
+def check_config_fields(config):
+    """Every field of a component config is an int (not a bool): depth >= 0, the rest >= 1."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        low = 0 if f.name == "depth" else 1
+        if isinstance(value, bool) or not isinstance(value, int) or value < low:
+            raise ValidationError(
+                f"{type(config).__name__}.{f.name} must be an integer >= {low}, got {value!r}")
+
+
 class Module:
+    def __call__(self, *args, **kwargs):
+        return self.forward(*args, **kwargs)
+
     def named_parameters(self, prefix: str = "") -> List[Tuple[str, Tensor]]:
         out: List[Tuple[str, Tensor]] = []
         for name, value in vars(self).items():
@@ -53,48 +76,29 @@ class Module:
 class Linear(Module):
     """y = x @ w + b."""
 
-    def __init__(self, d_in: int, d_out: int, rng: Rng, bias: bool = True):
+    def __init__(self, d_in: int, d_out: int, rng: Rng):
         self.w = Tensor(rng.normal((d_in, d_out), std=INIT_STD), requires_grad=True)
-        self.b = Tensor.zeros((d_out,), requires_grad=True) if bias else None
-
-    @property
-    def d_in(self) -> int:
-        return self.w.shape[0]
-
-    @property
-    def d_out(self) -> int:
-        return self.w.shape[1]
+        self.b = Tensor.zeros((d_out,), requires_grad=True)
 
     def forward(self, x: Tensor) -> Tensor:
-        y = matmul(x, self.w)
-        if self.b is not None:
-            y = add(y, self.b)
-        return y
-
-    __call__ = forward
+        return add(matmul(x, self.w), self.b)
 
 
 class LayerNorm(Module):
-    def __init__(self, d: int, eps: float = 1e-5):
+    def __init__(self, d: int):
         self.g = Tensor.ones((d,), requires_grad=True)
         self.b = Tensor.zeros((d,), requires_grad=True)
-        self._eps = eps
 
     def forward(self, x: Tensor) -> Tensor:
-        return layer_norm(x, self.g, self.b, eps=self._eps)
-
-    __call__ = forward
+        return layer_norm(x, self.g, self.b)
 
 
 class RMSNorm(Module):
-    def __init__(self, d: int, eps: float = 1e-5):
+    def __init__(self, d: int):
         self.g = Tensor.ones((d,), requires_grad=True)
-        self._eps = eps
 
     def forward(self, x: Tensor) -> Tensor:
-        return rms_norm(x, self.g, eps=self._eps)
-
-    __call__ = forward
+        return rms_norm(x, self.g)
 
 
 class LayerCache:
@@ -118,17 +122,16 @@ class LayerCache:
 class MultiHeadAttention(Module):
     """Scaled dot-product attention over [T, d] sequences (no batch dim).
 
-    Query and key/value inputs may have different widths, which is what the
-    resampler and q-former connectors use for cross-attention. With a
+    Key/value inputs may have a width other than the queries', which is what
+    the resampler and q-former connectors use for cross-attention. With a
     `cache`, this call's keys and values are appended to the cached ones and
     the queries attend over all of them; `mask` then spans every key.
     """
 
-    def __init__(self, d_model: int, heads: int, rng: Rng,
-                 d_q_in: Optional[int] = None, d_kv_in: Optional[int] = None):
+    def __init__(self, d_model: int, heads: int, rng: Rng, d_kv_in: Optional[int] = None):
         if d_model % heads:
             raise DimensionError(f"width {d_model} not divisible by {heads} heads")
-        self.wq = Linear(d_q_in or d_model, d_model, rng.split("wq"))
+        self.wq = Linear(d_model, d_model, rng.split("wq"))
         self.wk = Linear(d_kv_in or d_model, d_model, rng.split("wk"))
         self.wv = Linear(d_kv_in or d_model, d_model, rng.split("wv"))
         self.wo = Linear(d_model, d_model, rng.split("wo"))
@@ -156,18 +159,14 @@ class MultiHeadAttention(Module):
         merged = reshape(transpose(ctx, (1, 0, 2)), (tq, self._d_model))
         return self.wo(merged)
 
-    __call__ = forward
-
 
 class FeedForward(Module):
-    def __init__(self, d: int, rng: Rng, mult: int = 4):
-        self.l1 = Linear(d, mult * d, rng.split("l1"))
-        self.l2 = Linear(mult * d, d, rng.split("l2"))
+    def __init__(self, d: int, rng: Rng):
+        self.l1 = Linear(d, 4 * d, rng.split("l1"))
+        self.l2 = Linear(4 * d, d, rng.split("l2"))
 
     def forward(self, x: Tensor) -> Tensor:
         return self.l2(gelu(self.l1(x)))
-
-    __call__ = forward
 
 
 class TransformerBlock(Module):
@@ -185,8 +184,6 @@ class TransformerBlock(Module):
         x = add(x, self.attn(normed, normed, mask, cache))
         x = add(x, self.ff(self.ln2(x)))
         return x
-
-    __call__ = forward
 
 
 def interleave_rows(a: Tensor, b: Tensor) -> Tensor:

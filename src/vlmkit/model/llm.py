@@ -43,7 +43,8 @@ import numpy as np
 from ..data.tokenizer import VOCAB_SIZE
 from ..errors import ValidationError
 from ..numerics import Rng, Tensor, add, causal_mask, embedding, matmul, narrow, transpose
-from .layers import INIT_STD, LayerCache, Module, RMSNorm, TransformerBlock, config_from_dict
+from .layers import (INIT_STD, LayerCache, Module, RMSNorm, TransformerBlock, check_config_fields,
+                     config_from_dict)
 
 
 @dataclass(frozen=True)
@@ -52,9 +53,9 @@ class LLMConfig:
     depth: int = 2
     heads: int = 4
     max_positions: int = 256
-    vocab_size: int = VOCAB_SIZE
 
     def __post_init__(self):
+        check_config_fields(self)
         if self.width % self.heads:
             raise ValidationError(f"width {self.width} not divisible by heads {self.heads}")
 
@@ -82,7 +83,7 @@ class LanguageModel(Module):
     def __init__(self, config: LLMConfig, rng: Rng):
         self.config = config
         d = config.width
-        self.tok_embed = Tensor(rng.split("tok").normal((config.vocab_size, d), std=INIT_STD),
+        self.tok_embed = Tensor(rng.split("tok").normal((VOCAB_SIZE, d), std=INIT_STD),
                                 requires_grad=True)
         self.pos_embed = Tensor(rng.split("pos").normal((config.max_positions, d), std=INIT_STD),
                                 requires_grad=True)
@@ -92,10 +93,6 @@ class LanguageModel(Module):
         ]
         self.final_norm = RMSNorm(d)
         self._head: Optional[_HeadEntry] = None
-
-    @property
-    def width(self) -> int:
-        return self.config.width
 
     def embed_ids(self, ids: np.ndarray) -> Tensor:
         return embedding(self.tok_embed, np.asarray(ids, dtype=np.int64))
@@ -151,5 +148,3 @@ class LanguageModel(Module):
     def forward_embeds(self, embeds: Tensor) -> Tensor:
         """Causal forward over a whole [T, d] sequence, without a cache."""
         return self.forward(embeds)
-
-    __call__ = forward

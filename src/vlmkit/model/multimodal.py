@@ -7,6 +7,7 @@ next-token shift happens exactly once, in `sequence_loss`.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import asdict
 from typing import List, Optional, Tuple
 
@@ -19,10 +20,10 @@ from ..errors import ValidationError
 from ..numerics import Rng, Tensor, concat, masked_cross_entropy, narrow, no_grad
 from ..numerics.ops import IGNORE_INDEX
 from ..registry import registry
-from .connectors import Connector, ConnectorConfig, CONNECTOR_CLASSES
-from .layers import Module
+from .connectors import Connector, ConnectorConfig
+from .layers import Module, as_object
 from .llm import LanguageModel, LLMConfig
-from .vision import DualTower, VisionTower, VisionTowerConfig
+from .vision import DualTower, VisionTowerConfig
 
 _TOKENIZER = ByteTokenizer()
 
@@ -174,71 +175,83 @@ def generate(model: MultimodalModel, conv: Conversation,
 # -- construction from configuration -------------------------------------------
 
 
+@contextmanager
+def _naming(key: str):
+    """Prefix any ValidationError raised inside with the config key it is about."""
+    try:
+        yield
+    except ValidationError as exc:
+        raise type(exc)(f"{key}: {exc}") from None
+
+
+def _component(spec, kind: str, default: str, config_cls, **defaults):
+    """(registered name, config) of a component spec; a null spec takes the defaults."""
+    spec = as_object(spec, "spec")
+    name = spec.get("name", default)
+    registry.require(kind, name)
+    return name, config_cls.from_dict({**defaults, **as_object(spec.get("config"), "'config'")})
+
+
 def resolve_model_config(cfg: dict) -> dict:
-    """Materialize defaults and cross-component dimensions; fully validates."""
-    cfg = dict(cfg or {})
+    """Materialize defaults and cross-component dimensions; fully validates.
+
+    A component spec ("vision", "mof", "llm", "connector") is an object with
+    an optional registered "name" and an optional "config" object. Every
+    error message starts with the key it is about.
+    """
+    cfg = as_object(cfg, "model config")
     out: dict = {}
 
-    vision_spec = dict(cfg.get("vision") or {"name": "clip_tiny"})
-    vision_name = vision_spec.get("name", "clip_tiny")
-    registry.require("vision", vision_name)
-    vision_cfg = VisionTowerConfig.from_dict(vision_spec.get("config") or {})
+    with _naming("vision"):
+        vision_name, vision_cfg = _component(cfg.get("vision"), "vision", "clip_tiny",
+                                             VisionTowerConfig)
     out["vision"] = {"name": vision_name, "config": asdict(vision_cfg)}
 
-    mof_spec = cfg.get("mof")
     d_v = vision_cfg.width
     n_tokens = vision_cfg.num_patches
-    if mof_spec is not None:
-        mof_spec = dict(mof_spec)
-        mof_name = mof_spec.get("name", vision_name)
-        registry.require("vision", mof_name)
-        mof_cfg = VisionTowerConfig.from_dict(mof_spec.get("config") or {})
-        if (mof_cfg.image_size, mof_cfg.patch_size, mof_cfg.width) != (
-                vision_cfg.image_size, vision_cfg.patch_size, vision_cfg.width):
-            raise ValidationError(
-                "mof towers must match image size, patch size, and width: "
-                f"{asdict(vision_cfg)} vs {asdict(mof_cfg)}")
+    if cfg.get("mof") is not None:
+        with _naming("mof"):
+            mof_name, mof_cfg = _component(cfg["mof"], "vision", vision_name, VisionTowerConfig)
+            if (mof_cfg.image_size, mof_cfg.patch_size, mof_cfg.width) != (
+                    vision_cfg.image_size, vision_cfg.patch_size, vision_cfg.width):
+                raise ValidationError(
+                    "towers must match image size, patch size, and width: "
+                    f"{asdict(vision_cfg)} vs {asdict(mof_cfg)}")
         out["mof"] = {"name": mof_name, "config": asdict(mof_cfg)}
         n_tokens *= 2
 
-    llm_spec = dict(cfg.get("llm") or {"name": "phi_tiny"})
-    llm_name = llm_spec.get("name", "phi_tiny")
-    registry.require("llm", llm_name)
-    llm_cfg = LLMConfig.from_dict(llm_spec.get("config") or {})
+    with _naming("llm"):
+        llm_name, llm_cfg = _component(cfg.get("llm"), "llm", "phi_tiny", LLMConfig)
     out["llm"] = {"name": llm_name, "config": asdict(llm_cfg)}
 
-    conn_spec = dict(cfg.get("connector") or {"name": "mlp"})
-    conn_name = conn_spec.get("name", "mlp")
-    registry.require("connector", conn_name)
-    conn_raw = dict(conn_spec.get("config") or {})
-    conn_raw.setdefault("d_v", d_v)
-    conn_raw.setdefault("d_m", llm_cfg.width)
-    conn_cfg = ConnectorConfig.from_dict(conn_raw)
-    if conn_cfg.d_v != d_v:
-        raise ValidationError(
-            f"connector d_v={conn_cfg.d_v} does not match vision width {d_v}")
-    if conn_cfg.d_m != llm_cfg.width:
-        raise ValidationError(
-            f"connector d_m={conn_cfg.d_m} does not match llm width {llm_cfg.width}")
-    if conn_name == "identity" and conn_cfg.d_v != conn_cfg.d_m:
-        raise ValidationError(
-            f"identity connector requires d_v == d_m, got {conn_cfg.d_v} vs {conn_cfg.d_m}")
+    with _naming("connector"):
+        conn_name, conn_cfg = _component(cfg.get("connector"), "connector", "mlp",
+                                         ConnectorConfig, d_v=d_v, d_m=llm_cfg.width)
+        fixed_query = conn_name in ("resampler", "qformer")
+        if conn_cfg.d_v != d_v:
+            raise ValidationError(f"d_v={conn_cfg.d_v} does not match vision width {d_v}")
+        if conn_cfg.d_m != llm_cfg.width:
+            raise ValidationError(
+                f"d_m={conn_cfg.d_m} does not match llm width {llm_cfg.width}")
+        if conn_name == "identity" and conn_cfg.d_v != conn_cfg.d_m:
+            raise ValidationError(
+                f"identity connector requires d_v == d_m, got {conn_cfg.d_v} vs {conn_cfg.d_m}")
+        if fixed_query and conn_cfg.d_m % conn_cfg.heads:
+            raise ValidationError(f"d_m={conn_cfg.d_m} not divisible by heads {conn_cfg.heads}")
     out["connector"] = {"name": conn_name, "config": asdict(conn_cfg)}
 
     template_name = cfg.get("template", "llava_v1")
-    registry.require("template", template_name)
+    with _naming("template"):
+        registry.require("template", template_name)
     out["template"] = template_name
 
     aspect = cfg.get("image_aspect_ratio", "square")
     if aspect not in ("square", "pad"):
-        raise ValidationError(f"image_aspect_ratio must be 'square' or 'pad', got '{aspect}'")
+        raise ValidationError(f"image_aspect_ratio: must be 'square' or 'pad', got {aspect!r}")
     out["image_aspect_ratio"] = aspect
 
     # Informational: sequence cost of one image in LLM positions.
-    if conn_name in ("resampler", "qformer"):
-        out["image_tokens"] = conn_cfg.queries
-    else:
-        out["image_tokens"] = n_tokens
+    out["image_tokens"] = conn_cfg.queries if fixed_query else n_tokens
     return out
 
 

@@ -15,8 +15,8 @@ import numpy as np
 
 from ..errors import DimensionError, ValidationError
 from ..numerics import Rng, Tensor, add
-from .layers import (INIT_STD, LayerNorm, Linear, Module, TransformerBlock, config_from_dict,
-                     interleave_rows)
+from .layers import (INIT_STD, LayerNorm, Linear, Module, TransformerBlock, check_config_fields,
+                     config_from_dict, interleave_rows)
 
 
 @dataclass(frozen=True)
@@ -28,6 +28,7 @@ class VisionTowerConfig:
     heads: int = 4
 
     def __post_init__(self):
+        check_config_fields(self)
         if self.image_size % self.patch_size:
             raise ValidationError(
                 f"image_size {self.image_size} not divisible by patch_size {self.patch_size}")
@@ -64,14 +65,6 @@ class VisionTower(Module):
         ]
         self.final_norm = LayerNorm(d)
 
-    @property
-    def width(self) -> int:
-        return self.config.width
-
-    @property
-    def output_tokens(self) -> int:
-        return self.config.num_patches
-
     def forward(self, image: np.ndarray) -> Tensor:
         s = self.config.image_size
         if image.shape != (3, s, s):
@@ -82,8 +75,6 @@ class VisionTower(Module):
         for block in self.blocks:
             x = block(x)
         return self.final_norm(x)
-
-    __call__ = forward
 
 
 class DualTower(Module):
@@ -102,20 +93,5 @@ class DualTower(Module):
     def config(self) -> VisionTowerConfig:
         return self.tower_a.config
 
-    @property
-    def width(self) -> int:
-        return self.tower_a.width
-
-    @property
-    def output_tokens(self) -> int:
-        return 2 * self.tower_a.output_tokens
-
     def forward(self, image: np.ndarray) -> Tensor:
         return interleave_rows(self.tower_a(image), self.tower_b(image))
-
-    __call__ = forward
-
-
-def mof_forward(tower_a: VisionTower, tower_b: VisionTower, image: np.ndarray) -> Tensor:
-    """Interleaved features from two towers run on the same image."""
-    return DualTower(tower_a, tower_b)(image)

@@ -25,7 +25,7 @@ from .ops import (
     tsum,
 )
 from .rng import Rng
-from .tensor import Tensor, backward, grad_enabled, no_grad
+from .tensor import Tensor, backward, no_grad
 
 __all__ = [
     "AdamW",
@@ -41,7 +41,6 @@ __all__ = [
     "exp",
     "gelu",
     "grad_check",
-    "grad_enabled",
     "layer_norm",
     "lr_schedule",
     "masked_cross_entropy",

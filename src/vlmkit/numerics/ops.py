@@ -7,7 +7,7 @@ return one gradient per input, or None for inputs that need none.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.special import erf
@@ -329,13 +329,10 @@ def tmean(x: Tensor) -> Tensor:
     return record("mean", out, (x,), bw)
 
 
-def causal_mask(t: int, valid_len: Optional[int] = None, start: int = 0) -> Tensor:
+def causal_mask(t: int, start: int = 0) -> Tensor:
     """Additive [t, start + t] mask for t rows that follow `start` earlier keys.
 
     Row i sits at position start + i and sees keys 0..start + i: -1e9 above
-    that diagonal and on padded keys.
+    that diagonal.
     """
-    m = np.triu(np.full((t, start + t), -1e9, dtype=np.float32), k=start + 1)
-    if valid_len is not None and valid_len < start + t:
-        m[:, valid_len:] = -1e9
-    return Tensor(m)
+    return Tensor(np.triu(np.full((t, start + t), -1e9, dtype=np.float32), k=start + 1))

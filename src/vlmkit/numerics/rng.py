@@ -29,19 +29,14 @@ class Rng:
         """Child stream named by `label`, independent of this one."""
         return Rng(self.seed, self.path + (str(label),))
 
-    def normal(self, shape, std: float = 1.0, mean: float = 0.0) -> np.ndarray:
-        out = self._gen.standard_normal(size=shape) * std + mean
-        return out.astype(np.float32)
+    def normal(self, shape, std: float = 1.0) -> np.ndarray:
+        return (self._gen.standard_normal(size=shape) * std).astype(np.float32)
 
     def uniform(self, shape, low: float = 0.0, high: float = 1.0) -> np.ndarray:
         return self._gen.uniform(low, high, size=shape).astype(np.float32)
 
     def integers(self, low: int, high: int, size=None):
         return self._gen.integers(low, high, size=size)
-
-    def permutation(self, n: int) -> np.ndarray:
-        # numpy's Generator.permutation is a Fisher-Yates shuffle.
-        return self._gen.permutation(n)
 
     def choice(self, seq):
         return seq[int(self._gen.integers(0, len(seq)))]

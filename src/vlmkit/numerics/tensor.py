@@ -40,10 +40,6 @@ class no_grad:
         return False
 
 
-def grad_enabled() -> bool:
-    return _grad_enabled
-
-
 class Node:
     """One recorded operation: inputs, output, and its backward rule.
 
@@ -100,9 +96,6 @@ class Tensor:
             raise ValidationError(f"item() needs a scalar, got shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
     def is_leaf(self) -> bool:
         return self._node is None
 
@@ -144,23 +137,9 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        from . import ops
-        return ops.scale(self, -1.0)
-
-    def __sub__(self, other):
-        from . import ops
-        return ops.add(self, ops.scale(_as_tensor(other), -1.0))
-
     def __matmul__(self, other):
         from . import ops
         return ops.matmul(self, _as_tensor(other))
-
-    def __truediv__(self, other):
-        from . import ops
-        if not isinstance(other, (int, float)):
-            raise ValidationError("tensor division only supports scalar divisors")
-        return ops.scale(self, 1.0 / float(other))
 
     def reshape(self, *shape):
         from . import ops

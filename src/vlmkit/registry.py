@@ -35,7 +35,7 @@ class ComponentRegistry:
     def require(self, kind: str, name: str) -> Callable:
         """The factory registered under `name`; unknown names list the candidates."""
         table = self._table(kind)
-        if name not in table:
+        if not isinstance(name, str) or name not in table:
             available = ", ".join(sorted(table)) or "<none>"
             raise RegistryError(f"unknown {kind} component '{name}'; available: {available}")
         return table[name]
@@ -53,8 +53,3 @@ registry = ComponentRegistry()
 def register_component(kind: str, name: str, factory: Callable):
     """Register `factory` under `name` in the process-wide registry."""
     registry.register(kind, name, factory)
-
-
-def create_component(kind: str, name: str, *args: Any, **kwargs: Any):
-    """Instantiate a registered component; unknown names list the candidates."""
-    return registry.create(kind, name, *args, **kwargs)

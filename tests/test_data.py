@@ -11,6 +11,7 @@ from vlmkit.data import (
     BOS_ID,
     BUILTIN_TEMPLATES,
     ByteTokenizer,
+    ChatTemplate,
     Conversation,
     EOS_ID,
     EOS_TEXT,
@@ -231,6 +232,19 @@ def test_render_generation_prompt_after_human_turn_adds_prefix():
     out = render_prompt(conv, BUILTIN_TEMPLATES["llava_v1"], include_last_assistant=False)
     assert out.endswith("What color is the square? ASSISTANT: ")
     assert render_prompt(conv, BUILTIN_TEMPLATES["llava_v1"]).endswith("square? ")
+
+
+@pytest.mark.parametrize("tpl, turns", [
+    (BUILTIN_TEMPLATES["plain"], [Turn("human", "q<ima"), Turn("assistant", "ge>")]),
+    (ChatTemplate(name="split", user_suffix="age>"),
+     [Turn("human", "a <im"), Turn("assistant", "b")]),
+])
+def test_placeholder_split_across_pieces_is_rejected(tpl, turns):
+    conv = Conversation(id="split", turns=turns)
+    for call in (lambda: render_prompt(conv, tpl),
+                 lambda: tokenize_and_label(conv, tpl, TOK)):
+        with pytest.raises(ValidationError, match="conversation 'split': text split across"):
+            call()
 
 
 # -- tokenize and label ------------------------------------------------------------

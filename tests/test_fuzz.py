@@ -3,20 +3,25 @@
 For any input, `load_dataset` and `load_ppm` either return a well-formed
 result or raise a `VlmkitError` that names the record or the file;
 `tokenize_and_label` and `tokenize_prompt` either raise a `VlmkitError` or
-return ids and labels that agree with each other and with the template.
+return ids and labels that agree with each other and with the template;
+`resolve_model_config` either resolves a config or raises a `VlmkitError`
+that starts with the key it is about.
 """
 
 import json
 import re
+from dataclasses import fields
 
 import numpy as np
 from hypothesis import example, given, strategies as st
 
 from helpers import FUZZ
-from vlmkit.data import (BUILTIN_TEMPLATES, ByteTokenizer, Conversation, Turn, load_dataset,
-                         load_ppm, tokenize_and_label, tokenize_prompt)
+from vlmkit.data import (BUILTIN_TEMPLATES, IMAGE_ID, IMAGE_PLACEHOLDER, ByteTokenizer,
+                         Conversation, Turn, load_dataset, load_ppm, render_prompt,
+                         tokenize_and_label, tokenize_prompt)
 from vlmkit.data.conversations import ROLE_ASSISTANT, ROLE_HUMAN
 from vlmkit.errors import VlmkitError
+from vlmkit.model import ConnectorConfig, LLMConfig, VisionTowerConfig, resolve_model_config
 from vlmkit.numerics.ops import IGNORE_INDEX
 
 # -- load_dataset ------------------------------------------------------------------
@@ -138,6 +143,9 @@ def conversations(draw):
 
 @FUZZ
 @given(conv=conversations(), tpl=st.sampled_from(list(BUILTIN_TEMPLATES.values())))
+@example(conv=Conversation("split", None,
+                          [Turn(ROLE_HUMAN, "q<ima"), Turn(ROLE_ASSISTANT, "ge>")]),
+         tpl=BUILTIN_TEMPLATES["plain"])
 def test_tokenize_labels_or_raises(conv, tpl):
     try:
         full = tokenize_and_label(conv, tpl, TOK, require_assistant=False)
@@ -147,9 +155,13 @@ def test_tokenize_labels_or_raises(conv, tpl):
     assert len(labels) == len(ids)
     sup = labels != IGNORE_INDEX
     assert (labels[sup] == ids[sup]).all()
+    # Every placeholder a render shows is an IMAGE token.
+    assert render_prompt(conv, tpl).count(IMAGE_PLACEHOLDER) == (ids == IMAGE_ID).sum()
 
     prompt, image_index = tokenize_prompt(conv, tpl, TOK)
     assert image_index == full.image_token_index
+    rendered = render_prompt(conv, tpl, include_last_assistant=False)
+    assert rendered.count(IMAGE_PLACEHOLDER) == (prompt == IMAGE_ID).sum()
     last = conv.turns[-1] if conv.turns else None
     if last is None:
         np.testing.assert_array_equal(prompt, ids)
@@ -162,3 +174,41 @@ def test_tokenize_labels_or_raises(conv, tpl):
     else:
         prefix = TOK.encode(tpl.assistant_prefix)
         np.testing.assert_array_equal(prompt, np.concatenate([ids, prefix]))
+
+
+# -- resolve_model_config --------------------------------------------------------------
+
+FIELD_NAMES = sorted({f.name for cls in (VisionTowerConfig, LLMConfig, ConnectorConfig)
+                      for f in fields(cls)} | {"bogus"})
+FIELD_VALUES = st.integers(-2, 65) | st.sampled_from([8, 16, 32, 64]) | JSON_VALUES
+CONFIGS = st.dictionaries(st.sampled_from(FIELD_NAMES), FIELD_VALUES, max_size=3)
+SPECS = st.fixed_dictionaries({}, optional={
+    "name": st.sampled_from(["clip_tiny", "dino_tiny", "phi_tiny", "mlp", "qformer",
+                             "identity", "nope"]) | JSON_VALUES,
+    "config": CONFIGS | JSON_VALUES,
+}) | JSON_VALUES
+MODEL_CONFIGS = st.fixed_dictionaries({}, optional={
+    "vision": SPECS, "mof": SPECS, "llm": SPECS, "connector": SPECS,
+    "template": st.sampled_from(["plain", "llava_v1", "nope"]) | JSON_VALUES,
+    "image_aspect_ratio": st.sampled_from(["square", "pad"]) | JSON_VALUES,
+}) | JSON_VALUES
+
+
+@FUZZ
+@given(cfg=MODEL_CONFIGS)
+@example(cfg={"vision": "clip_tiny"})
+@example(cfg=[1])
+@example(cfg={"vision": {"config": {"patch_size": 0}}})
+@example(cfg={"llm": {"config": {"width": True}}})
+@example(cfg={"connector": {"name": "qformer", "config": {"queries": 0}}})
+def test_resolve_model_config_resolves_or_names_the_key(cfg):
+    try:
+        out = resolve_model_config(cfg)
+    except VlmkitError as exc:
+        if isinstance(cfg, dict):
+            named = re.match(r"(\w+): ", str(exc))
+            assert named and named.group(1) in cfg, str(exc)
+        else:
+            assert str(exc).startswith("model config must be an object"), str(exc)
+        return
+    assert resolve_model_config(out) == out

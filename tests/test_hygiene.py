@@ -1,0 +1,65 @@
+"""Source hygiene checks that need no linter.
+
+Every module under `src/vlmkit` (package `__init__` files aside, since they
+import to re-export) uses each name it imports, and every name a public
+package lists in `__all__` exists.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "vlmkit"
+MODULES = sorted(p for p in PACKAGE.rglob("*.py") if p.name != "__init__.py")
+
+
+def _imported(tree):
+    """Name bound by each import -> line of the import."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                out[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                out[alias.asname or alias.name] = node.lineno
+    return out
+
+
+def _used(tree):
+    """Names loaded anywhere, including inside quoted annotations."""
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            every = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+            annotations += [a.annotation for a in every if a is not None and a.annotation]
+            annotations += [node.returns] if node.returns else []
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for annotation in annotations:
+        for n in ast.walk(annotation):
+            if isinstance(n, ast.Constant) and isinstance(n.value, str):
+                used |= {m.id for m in ast.walk(ast.parse(n.value, mode="eval"))
+                         if isinstance(m, ast.Name)}
+    return used
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.relative_to(PACKAGE).as_posix())
+def test_module_uses_every_import(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = _used(tree)
+    unused = [f"{name} (line {line})" for name, line in _imported(tree).items()
+              if name not in used]
+    assert not unused, f"{path.name} imports but never uses: {', '.join(unused)}"
+
+
+@pytest.mark.parametrize("package", ["vlmkit", "vlmkit.data", "vlmkit.model", "vlmkit.numerics"])
+def test_all_entries_resolve(package):
+    module = importlib.import_module(package)
+    missing = [name for name in module.__all__ if not hasattr(module, name)]
+    assert not missing, f"{package}.__all__ lists missing names: {', '.join(missing)}"
+    assert len(set(module.__all__)) == len(module.__all__), f"{package}.__all__ repeats a name"

@@ -19,7 +19,6 @@ from vlmkit.model import (
     build_model,
     compose_multimodal,
     generate,
-    mof_forward,
     multimodal,
     sequence_loss,
 )
@@ -140,7 +139,7 @@ def test_mof_interleaves_and_doubles_tokens():
     a = VisionTower(cfg, Rng(1))
     b = VisionTower(cfg, Rng(2))
     img = random_image(seed=4)
-    out = mof_forward(a, b, img)
+    out = DualTower(a, b)(img)
     assert out.shape == (8, 32)
     solo_a, solo_b = a(img).data, b(img).data
     np.testing.assert_array_equal(out.data[0::2], solo_a)
@@ -150,7 +149,7 @@ def test_mof_interleaves_and_doubles_tokens():
 def test_mof_same_tower_duplicates_rows():
     cfg = VisionTowerConfig(image_size=16, patch_size=8, width=32, depth=1, heads=2)
     a = VisionTower(cfg, Rng(1))
-    out = mof_forward(a, a, random_image(seed=5)).data
+    out = DualTower(a, a)(random_image(seed=5)).data
     np.testing.assert_array_equal(out[0::2], out[1::2])
 
 
@@ -669,6 +668,53 @@ def test_resolve_rejects_connector_dim_mismatch():
     cfg["connector"]["config"] = {"d_v": 99}
     with pytest.raises(ValidationError):
         build_model(cfg, seed=0)
+
+
+BAD_MODEL_CONFIGS = [
+    ({"vision": {"config": {"patch_size": 0}}}, "vision: VisionTowerConfig.patch_size"),
+    ({"vision": {"config": {"heads": 0}}}, "vision: VisionTowerConfig.heads"),
+    ({"llm": {"config": {"heads": 0}}}, "llm: LLMConfig.heads"),
+    ({"llm": {"config": {"width": "64"}}}, "llm: LLMConfig.width"),
+    ({"llm": {"config": {"width": 64.0}}}, "llm: LLMConfig.width"),
+    ({"vision": {"config": {"width": True}}}, "vision: VisionTowerConfig.width"),
+    ({"llm": {"config": {"depth": -1}}}, "llm: LLMConfig.depth must be an integer >= 0"),
+    ({"llm": {"config": {"max_positions": 0}}}, "llm: LLMConfig.max_positions"),
+    ({"vision": {"config": {"image_size": 0}}}, "vision: VisionTowerConfig.image_size"),
+    ({"connector": {"name": "qformer", "config": {"queries": 0}}},
+     "connector: ConnectorConfig.queries"),
+    ({"connector": {"name": "resampler", "config": {"depth": -2}}},
+     "connector: ConnectorConfig.depth"),
+    ({"connector": {"name": "qformer", "config": {"heads": 3}}},
+     "connector: d_m=64 not divisible by heads 3"),
+    ({"vision": "clip_tiny"}, "vision: spec must be an object, got str"),
+    ({"mof": [1]}, "mof: spec must be an object, got list"),
+    ({"connector": {"config": [1]}}, "connector: 'config' must be an object"),
+    ({"llm": {"name": ["phi_tiny"]}}, "llm: unknown llm component"),
+    ({"template": {}}, "template: unknown template component"),
+    ({"llm": {"config": {1: 2}}}, "llm: unknown LLMConfig keys: 1"),
+    ([1], "model config must be an object, got list"),
+]
+
+
+@pytest.mark.parametrize("cfg, message", BAD_MODEL_CONFIGS)
+def test_build_model_rejects_bad_config_naming_the_key(cfg, message):
+    with pytest.raises(ValidationError) as ei:
+        build_model(cfg, seed=0)
+    assert message in str(ei.value)
+
+
+@pytest.mark.parametrize("config_cls, field, value", [
+    (VisionTowerConfig, "patch_size", 0),
+    (VisionTowerConfig, "depth", -1),
+    (LLMConfig, "heads", True),
+    (LLMConfig, "max_positions", 0),
+    (ConnectorConfig, "queries", 0),
+    (ConnectorConfig, "d_v", "64"),
+])
+def test_config_construction_checks_fields(config_cls, field, value):
+    with pytest.raises(ValidationError) as ei:
+        config_cls(**{field: value})
+    assert f"{config_cls.__name__}.{field} must be an integer" in str(ei.value)
 
 
 def test_build_model_deterministic_from_seed():

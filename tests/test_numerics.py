@@ -30,7 +30,9 @@ from vlmkit.numerics import (
     scale,
     softmax,
     tanh,
+    tmean,
     transpose,
+    tsum,
 )
 
 
@@ -104,6 +106,15 @@ def test_add_broadcasts_bias_over_leading_dims():
     assert out.shape == (3, 4)
     out.sum().backward()
     np.testing.assert_array_equal(b.grad, [3.0, 3.0, 3.0, 3.0])
+
+
+@pytest.mark.parametrize("shape_a, shape_b", [((3, 1), (1, 4)), ((2, 1, 4), (3, 1))])
+def test_add_broadcasting_both_inputs_grads(shape_a, shape_b):
+    a = Tensor(rand(shape_a, seed=10), requires_grad=True)
+    b = Tensor(rand(shape_b, seed=11), requires_grad=True)
+    w = Tensor(rand(np.broadcast_shapes(shape_a, shape_b), seed=12))
+    assert grad_check(lambda t: tsum(mul(add(t, b), w)), a) < 1e-3
+    assert grad_check(lambda t: tsum(mul(add(a, t), w)), b) < 1e-3
 
 
 def test_add_rejects_non_broadcastable():
@@ -385,6 +396,20 @@ def test_embedding_gather_and_scatter_grad():
     expected = np.zeros((7, 3), dtype=np.float32)
     np.add.at(expected, ids, 1.0)
     np.testing.assert_array_equal(table.grad, expected)
+
+
+def test_embedding_grad_with_repeated_ids():
+    table = Tensor(rand((7, 3), seed=47), requires_grad=True)
+    ids = np.array([2, 2, 5, 0, 2])
+    w = Tensor(rand((5, 3), seed=48))
+    assert grad_check(lambda t: tsum(mul(embedding(t, ids), w)), table) < 1e-3
+
+
+@pytest.mark.parametrize("reduce", [tsum, tmean])
+def test_reduction_grads(reduce):
+    # Squaring the reduction sends a gradient other than 1 into its backward.
+    x = Tensor(rand((3, 4), seed=49), requires_grad=True)
+    assert grad_check(lambda t: mul(reduce(t), reduce(t)), x) < 1e-3
 
 
 # -- AdamW -----------------------------------------------------------------------
