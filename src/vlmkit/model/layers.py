@@ -53,24 +53,28 @@ class Module:
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)
 
-    def named_parameters(self, prefix: str = "") -> List[Tuple[str, Tensor]]:
-        out: List[Tuple[str, Tensor]] = []
+    def _walk(self, out: list, prefix: Optional[str]) -> list:
+        """Append every parameter to `out` in path order: (path, tensor) pairs
+        under a string prefix, bare tensors (no path built) under None."""
         for name, value in vars(self).items():
             if name.startswith("_"):
                 continue
-            path = f"{prefix}{name}"
+            path = None if prefix is None else prefix + name
             if isinstance(value, Tensor):
-                out.append((path, value))
+                out.append(value if path is None else (path, value))
             elif isinstance(value, Module):
-                out.extend(value.named_parameters(prefix=path + "."))
+                value._walk(out, None if path is None else path + ".")
             elif isinstance(value, (list, tuple)):
                 for i, item in enumerate(value):
                     if isinstance(item, Module):
-                        out.extend(item.named_parameters(prefix=f"{path}.{i}."))
+                        item._walk(out, None if path is None else f"{path}.{i}.")
         return out
 
+    def named_parameters(self) -> List[Tuple[str, Tensor]]:
+        return self._walk([], "")
+
     def parameters(self) -> List[Tensor]:
-        return [p for _, p in self.named_parameters()]
+        return self._walk([], None)
 
 
 class Linear(Module):

@@ -175,6 +175,10 @@ def generate(model: MultimodalModel, conv: Conversation,
 # -- construction from configuration -------------------------------------------
 
 
+_MODEL_CONFIG_KEYS = ("vision", "mof", "llm", "connector", "template", "image_aspect_ratio",
+                      "image_tokens")
+
+
 @contextmanager
 def _naming(key: str):
     """Prefix any ValidationError raised inside with the config key it is about."""
@@ -197,9 +201,15 @@ def resolve_model_config(cfg: dict) -> dict:
 
     A component spec ("vision", "mof", "llm", "connector") is an object with
     an optional registered "name" and an optional "config" object. Every
-    error message starts with the key it is about.
+    error message starts with the key it is about, an unknown key included.
+    "image_tokens" is accepted and recomputed, so a resolved config resolves
+    to itself.
     """
     cfg = as_object(cfg, "model config")
+    for key in cfg:
+        if key not in _MODEL_CONFIG_KEYS:
+            raise ValidationError(
+                f"{key}: unknown model config key; known: {', '.join(_MODEL_CONFIG_KEYS)}")
     out: dict = {}
 
     with _naming("vision"):

@@ -3,6 +3,17 @@
 Forward values are float32; anything that reduces (sums, statistics,
 log-sum-exp) runs in float64 internally and casts back. Backward rules
 return one gradient per input, or None for inputs that need none.
+
+At the sizes this library runs, an op's fixed cost per call (Python calls,
+numpy wrappers) weighs more than its arithmetic, so the bodies keep to two
+rules:
+
+- A mean over an axis is `np.add.reduce` followed by an in-place divide by
+  the count. That is the sum-then-divide `ndarray.mean` and `ndarray.var`
+  perform inside their Python wrappers, so it rounds the same way, bit for
+  bit, without the wrappers.
+- An op does not pre-check what numpy already rejects. It catches numpy's
+  error and raises the `DimensionError` that names the shapes.
 """
 
 from __future__ import annotations
@@ -23,6 +34,8 @@ _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum a gradient down to `shape` after numpy broadcasting."""
+    if grad.shape == shape:
+        return grad
     extra = grad.ndim - len(shape)
     if extra > 0:
         grad = grad.sum(axis=tuple(range(extra)))
@@ -32,19 +45,14 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad
 
 
-def _check_broadcast(a: Tensor, b: Tensor, op: str):
-    try:
-        np.broadcast_shapes(a.shape, b.shape)
-    except ValueError:
-        raise DimensionError(f"{op}: shapes {a.shape} and {b.shape} do not broadcast") from None
-
-
 # -- elementwise -----------------------------------------------------------
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a, b, "add")
-    out = a.data + b.data
+    try:
+        out = a.data + b.data
+    except ValueError:
+        raise DimensionError(f"add: shapes {a.shape} and {b.shape} do not broadcast") from None
 
     def bw(g):
         return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
@@ -53,8 +61,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a, b, "mul")
-    out = a.data * b.data
+    try:
+        out = a.data * b.data
+    except ValueError:
+        raise DimensionError(f"mul: shapes {a.shape} and {b.shape} do not broadcast") from None
 
     def bw(g):
         return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
@@ -107,18 +117,18 @@ def exp(x: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.ndim < 2 or b.ndim < 2:
+    ad, bd = a.data, b.data
+    if ad.ndim < 2 or bd.ndim < 2:
         raise DimensionError(f"matmul needs >=2-d operands, got {a.shape} and {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise DimensionError(f"matmul: inner dimensions differ, {a.shape} vs {b.shape}")
     try:
-        out = a.data @ b.data
+        out = ad @ bd
     except ValueError:
-        raise DimensionError(f"matmul: batch dimensions differ, {a.shape} vs {b.shape}") from None
+        which = "inner" if ad.shape[-1] != bd.shape[-2] else "batch"
+        raise DimensionError(f"matmul: {which} dimensions differ, {a.shape} vs {b.shape}") from None
 
     def bw(g):
-        ga = _unbroadcast(g @ b.data.swapaxes(-1, -2), a.shape)
-        gb = _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.shape)
+        ga = _unbroadcast(g @ bd.swapaxes(-1, -2), ad.shape)
+        gb = _unbroadcast(ad.swapaxes(-1, -2) @ g, bd.shape)
         return ga, gb
 
     return record("matmul", out, (a, b), bw)
@@ -146,17 +156,22 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         raise DimensionError(
             f"layer_norm: gain/bias must have shape ({d},), got {gain.shape} and {bias.shape}")
     xd = x.data.astype(np.float64)
-    mu = xd.mean(axis=-1, keepdims=True)
-    var = xd.var(axis=-1, keepdims=True)
+    mu = np.add.reduce(xd, axis=-1, keepdims=True)
+    mu /= d
+    xc = xd - mu
+    var = np.add.reduce(xc * xc, axis=-1, keepdims=True)
+    var /= d
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (xd - mu) * inv
+    xhat = xc * inv
     out = (xhat * gain.data + bias.data).astype(np.float32)
 
     def bw(g):
         gd = g.astype(np.float64)
         dxhat = gd * gain.data
-        m1 = dxhat.mean(axis=-1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+        m1 = np.add.reduce(dxhat, axis=-1, keepdims=True)
+        m1 /= d
+        m2 = np.add.reduce(dxhat * xhat, axis=-1, keepdims=True)
+        m2 /= d
         gx = (inv * (dxhat - m1 - xhat * m2)).astype(np.float32)
         lead = tuple(range(g.ndim - 1))
         ggain = (gd * xhat).sum(axis=lead).astype(np.float32)
@@ -176,14 +191,17 @@ def rms_norm(x: Tensor, gain: Tensor, eps: float = 1e-5) -> Tensor:
     if gain.shape != (d,):
         raise DimensionError(f"rms_norm: gain must have shape ({d},), got {gain.shape}")
     xd = x.data.astype(np.float64)
-    inv = 1.0 / np.sqrt((xd * xd).mean(axis=-1, keepdims=True) + eps)
+    ms = np.add.reduce(xd * xd, axis=-1, keepdims=True)
+    ms /= d
+    inv = 1.0 / np.sqrt(ms + eps)
     xhat = xd * inv
     out = (xhat * gain.data).astype(np.float32)
 
     def bw(g):
         gd = g.astype(np.float64)
         dxhat = gd * gain.data
-        m = (dxhat * xhat).mean(axis=-1, keepdims=True)
+        m = np.add.reduce(dxhat * xhat, axis=-1, keepdims=True)
+        m /= d
         gx = (inv * (dxhat - xhat * m)).astype(np.float32)
         ggain = (gd * xhat).sum(axis=tuple(range(g.ndim - 1))).astype(np.float32)
         return gx, ggain
@@ -246,11 +264,12 @@ def reshape(x: Tensor, shape) -> Tensor:
 
 
 def transpose(x: Tensor, axes=None) -> Tensor:
-    if axes is None:
-        axes = tuple(reversed(range(x.ndim)))
-    axes = tuple(axes)
-    inv = np.argsort(axes)
     out = x.data.transpose(axes)
+    inv = None      # the inverse of reversing the axes is reversing them
+    if axes is not None:
+        inv = [0] * len(axes)
+        for i, axis in enumerate(axes):
+            inv[axis] = i
 
     def bw(g):
         return (g.transpose(inv),)
@@ -261,14 +280,14 @@ def transpose(x: Tensor, axes=None) -> Tensor:
 def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     if not parts:
         raise ValidationError("concat needs at least one tensor")
+    parts = tuple(parts)
     out = np.concatenate([p.data for p in parts], axis=axis)
-    sizes = [p.shape[axis] for p in parts]
-    splits = np.cumsum(sizes)[:-1]
 
     def bw(g):
+        splits = np.cumsum([p.shape[axis] for p in parts])[:-1]
         return tuple(np.ascontiguousarray(piece) for piece in np.split(g, splits, axis=axis))
 
-    return record("concat", out, tuple(parts), bw)
+    return record("concat", out, parts, bw)
 
 
 def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:

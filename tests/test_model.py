@@ -297,6 +297,36 @@ def test_shape_contract_full_grid(connector, mof):
     assert logits.shape == (len(sm.input_ids) - 1 + m, 260)
 
 
+@pytest.mark.parametrize("connector", ALL_CONNECTORS)
+@pytest.mark.parametrize("mof", [False, True])
+def test_parameters_are_named_parameters_in_order(connector, mof):
+    model = build_model(tiny_model_cfg(connector=connector, mof=mof), seed=SEED)
+    params, named = model.parameters(), [p for _, p in model.named_parameters()]
+    assert len(params) == len(named) and all(a is b for a, b in zip(params, named))
+
+
+# One default-model training step records these nodes, per op.
+DEFAULT_STEP_TAPE = {
+    "add": 39, "matmul": 36, "transpose": 21, "reshape": 16, "layer_norm": 9, "gelu": 5,
+    "softmax": 4, "scale": 4, "embedding": 2, "narrow": 2, "concat": 1,
+    "masked_cross_entropy": 1, "rms_norm": 1,
+}
+
+
+def test_default_training_step_tape_census():
+    model = build_model({}, seed=SEED)
+    loss, _ = sequence_loss(model, _sample_for(model))
+    counts, seen, stack = {}, set(), [loss._node]
+    while stack:
+        node = stack.pop()
+        if node is None or node.seq in seen:
+            continue
+        seen.add(node.seq)
+        counts[node.op] = counts.get(node.op, 0) + 1
+        stack.extend(t._node for t in node.inputs)
+    assert counts == DEFAULT_STEP_TAPE
+
+
 def test_gradient_flow_reaches_every_parameter():
     model = build_model(tiny_model_cfg(connector="qformer"), seed=SEED)
     sm = _sample_for(model)
@@ -693,6 +723,8 @@ BAD_MODEL_CONFIGS = [
     ({"template": {}}, "template: unknown template component"),
     ({"llm": {"config": {1: 2}}}, "llm: unknown LLMConfig keys: 1"),
     ([1], "model config must be an object, got list"),
+    ({"conector": {"name": "qformer"}}, "conector: unknown model config key"),
+    ({"vison": {"config": {"width": 32}}}, "vison: unknown model config key"),
 ]
 
 

@@ -117,9 +117,11 @@ def test_add_broadcasting_both_inputs_grads(shape_a, shape_b):
     assert grad_check(lambda t: tsum(mul(add(a, t), w)), b) < 1e-3
 
 
-def test_add_rejects_non_broadcastable():
-    with pytest.raises(DimensionError):
-        add(Tensor(np.zeros(3)), Tensor(np.zeros(4)))
+@pytest.mark.parametrize("op", [add, mul], ids=["add", "mul"])
+def test_add_rejects_non_broadcastable(op):
+    with pytest.raises(DimensionError) as ei:
+        op(Tensor(np.zeros((2, 3))), Tensor(np.zeros(4)))
+    assert "(2, 3)" in str(ei.value) and "(4,)" in str(ei.value)
 
 
 @pytest.mark.parametrize("op", [gelu, tanh, exp])
@@ -189,6 +191,76 @@ def test_layer_norm_grads():
     assert grad_check(lambda t: mul(layer_norm(t, g, b), w).sum(), x) < 1e-3
     assert grad_check(lambda t: mul(layer_norm(x, t, b), w).sum(), g) < 1e-3
     assert grad_check(lambda t: mul(layer_norm(x, g, t), w).sum(), b) < 1e-3
+
+
+# The norms compute their statistics as np.add.reduce then a divide. These
+# oracles keep the ndarray.mean / ndarray.var formulas that form replaced;
+# the two must agree bit for bit, forward and backward.
+NORM_SHAPES = [(1, 64), (37, 64), (2, 5, 7)]
+
+
+def _layer_norm_oracle(x, gain, bias, g, eps=1e-5):
+    xd = x.astype(np.float64)
+    mu = xd.mean(axis=-1, keepdims=True)
+    var = xd.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (xd - mu) * inv
+    out = (xhat * gain + bias).astype(np.float32)
+    gd = g.astype(np.float64)
+    dxhat = gd * gain
+    m1 = dxhat.mean(axis=-1, keepdims=True)
+    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+    gx = (inv * (dxhat - m1 - xhat * m2)).astype(np.float32)
+    lead = tuple(range(g.ndim - 1))
+    ggain = (gd * xhat).sum(axis=lead).astype(np.float32)
+    return out, gx, ggain, gd.sum(axis=lead).astype(np.float32)
+
+
+def _rms_norm_oracle(x, gain, g, eps=1e-5):
+    xd = x.astype(np.float64)
+    inv = 1.0 / np.sqrt((xd * xd).mean(axis=-1, keepdims=True) + eps)
+    xhat = xd * inv
+    out = (xhat * gain).astype(np.float32)
+    gd = g.astype(np.float64)
+    dxhat = gd * gain
+    m = (dxhat * xhat).mean(axis=-1, keepdims=True)
+    gx = (inv * (dxhat - xhat * m)).astype(np.float32)
+    return out, gx, (gd * xhat).sum(axis=tuple(range(g.ndim - 1))).astype(np.float32)
+
+
+def _out_and_grads(op, inputs, g):
+    """op's output and the gradient of sum(op(...) * g) for every input."""
+    out = op(*inputs)
+    mul(out, Tensor(g)).sum().backward()
+    return [out.data] + [t.grad for t in inputs]
+
+
+def _assert_bitwise_equal(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("shape", NORM_SHAPES)
+def test_layer_norm_matches_mean_var_oracle_bitwise(shape):
+    d = shape[-1]
+    x = Tensor(rand(shape, seed=60), requires_grad=True)
+    gain = Tensor(rand((d,), seed=61, lo=0.5, hi=1.5), requires_grad=True)
+    bias = Tensor(rand((d,), seed=62), requires_grad=True)
+    g = rand(shape, seed=63)
+    want = _layer_norm_oracle(x.data, gain.data, bias.data, g)
+    _assert_bitwise_equal(_out_and_grads(layer_norm, [x, gain, bias], g), want)
+
+
+@pytest.mark.parametrize("shape", NORM_SHAPES)
+def test_rms_norm_matches_mean_oracle_bitwise(shape):
+    d = shape[-1]
+    x = Tensor(rand(shape, seed=64), requires_grad=True)
+    gain = Tensor(rand((d,), seed=65, lo=0.5, hi=1.5), requires_grad=True)
+    g = rand(shape, seed=66)
+    want = _rms_norm_oracle(x.data, gain.data, g)
+    _assert_bitwise_equal(_out_and_grads(rms_norm, [x, gain], g), want)
 
 
 # -- rms norm -------------------------------------------------------------------
@@ -385,6 +457,27 @@ def test_reshape_transpose_concat_narrow_grads():
     assert grad_check(lambda t: mul(concat([t, other], axis=0), w3).sum(), x) < 1e-3
     w4 = Tensor(rand((2, 4), seed=45))
     assert grad_check(lambda t: mul(narrow(t, 0, 1, 2), w4).sum(), x) < 1e-3
+
+
+@pytest.mark.parametrize("axes", [(1, 0, 2), (2, 0, 1), None, (-1, 0, 1)])
+def test_transpose_backward_applies_the_inverse_permutation(axes):
+    x = Tensor(rand((2, 3, 4), seed=47), requires_grad=True)
+    want = x.data.transpose(axes)
+    g = rand(want.shape, seed=48)
+    inverse = None if axes is None else np.argsort(np.asarray(axes) % 3)
+    _assert_bitwise_equal(_out_and_grads(lambda t: transpose(t, axes), [x], g),
+                          [want, g.transpose(inverse)])
+
+
+@pytest.mark.parametrize("axis, shapes", [(0, [(2, 3), (1, 3), (4, 3)]),
+                                          (1, [(2, 1), (2, 3), (2, 2)])])
+def test_concat_backward_splits_the_gradient_by_part(axis, shapes):
+    parts = [Tensor(rand(shape, seed=49 + i), requires_grad=True) for i, shape in enumerate(shapes)]
+    want = np.concatenate([p.data for p in parts], axis=axis)
+    g = rand(want.shape, seed=52)
+    splits = np.cumsum([shape[axis] for shape in shapes])[:-1]
+    _assert_bitwise_equal(_out_and_grads(lambda *ts: concat(ts, axis=axis), parts, g),
+                          [want] + np.split(g, splits, axis=axis))
 
 
 def test_embedding_gather_and_scatter_grad():
