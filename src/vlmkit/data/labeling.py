@@ -110,7 +110,8 @@ def _truncation_cut(ids: np.ndarray, limit: int) -> int:
 
 def collate(samples: Sequence[TokenizedSample], pad_to: int,
             pad_id: int = PAD_ID) -> Batch:
-    """Right-pad samples into one batch; labels pad with IGNORE_INDEX.
+    """Right-pad samples into one batch of `pad_to` (>= 1) columns; labels
+    pad with IGNORE_INDEX. Images, when every sample has one, share a shape.
 
     Over-long samples are truncated from the right (never splitting a
     multi-byte character, never dropping the image placeholder) and counted
@@ -118,6 +119,8 @@ def collate(samples: Sequence[TokenizedSample], pad_to: int,
     """
     if not samples:
         raise ValidationError("collate needs at least one sample")
+    if pad_to < 1:
+        raise ValidationError(f"collate: pad_to must be at least 1, got {pad_to}")
     rows_ids, rows_labels, lengths, indices = [], [], [], []
     truncated = 0
     for sm in samples:
@@ -139,6 +142,11 @@ def collate(samples: Sequence[TokenizedSample], pad_to: int,
 
     images = None
     if all(sm.image is not None for sm in samples):
+        for sm in samples:
+            if sm.image.shape != samples[0].image.shape:
+                raise ValidationError(
+                    f"sample '{sm.conv_id}': image shape {sm.image.shape} differs from "
+                    f"the batch's {samples[0].image.shape}")
         images = np.stack([sm.image for sm in samples])
     elif any(sm.image is not None for sm in samples):
         images = [sm.image for sm in samples]

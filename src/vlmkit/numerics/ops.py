@@ -354,4 +354,7 @@ def causal_mask(t: int, start: int = 0) -> Tensor:
     Row i sits at position start + i and sees keys 0..start + i: -1e9 above
     that diagonal.
     """
-    return Tensor(np.triu(np.full((t, start + t), -1e9, dtype=np.float32), k=start + 1))
+    mask = np.zeros((t, start + t), dtype=np.float32)
+    if t > 1:       # a single row sees every key
+        mask[np.arange(start + t) > np.arange(start, start + t)[:, None]] = -1e9
+    return Tensor(mask)

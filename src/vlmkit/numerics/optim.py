@@ -1,4 +1,16 @@
-"""AdamW with decoupled weight decay, and the warmup+cosine LR schedule."""
+"""AdamW with decoupled weight decay, and the warmup+cosine LR schedule.
+
+AdamW keeps its training state flat. At construction it copies the
+trainable parameters, in order, into one float32 buffer, and each
+parameter's `data` becomes a view of its slice (same shape, same values).
+The first and second moments and the gradients live in three more flat
+buffers of the same layout; each parameter carries a view of its gradient
+slice, which `backward` fills. One update then runs over the flat buffers
+in chunks of `_CHUNK` values: a few large numpy calls instead of one small
+loop body per tensor, with two chunk-sized work buffers for temporaries.
+The arithmetic and its order are those of a per-tensor update, so the
+results are bitwise identical to it.
+"""
 
 from __future__ import annotations
 
@@ -10,13 +22,15 @@ import numpy as np
 from ..errors import ValidationError
 from .tensor import Tensor
 
+_CHUNK = 1 << 15
+
 
 class AdamW:
-    """Per-parameter first/second moment state plus the update rule.
+    """Flat parameter, gradient and moment buffers plus the update rule.
 
-    Moment buffers exist only for the parameters handed in (the trainable
-    set). The update is plain float32 arithmetic, so identical inputs give
-    bitwise identical results.
+    Buffers exist only for the parameters handed in (the trainable set),
+    and each tensor may be handed in once. The update is plain float32
+    arithmetic, so identical inputs give bitwise identical results.
     """
 
     def __init__(self, params: Sequence[Tuple[str, Tensor]], lr: float = 1e-3,
@@ -29,8 +43,29 @@ class AdamW:
         self.eps = eps
         self.weight_decay = weight_decay
         self.step_count = 0
-        self._m = [np.zeros_like(p.data) for _, p in self.params]
-        self._v = [np.zeros_like(p.data) for _, p in self.params]
+        seen = set()
+        for name, p in self.params:
+            if id(p) in seen:
+                raise ValidationError(f"parameter '{name}' is listed twice")
+            seen.add(id(p))
+        n = sum(p.data.size for _, p in self.params)
+        self._flat = np.empty(n, dtype=np.float32)
+        self._grad = np.zeros(n, dtype=np.float32)
+        self._m = np.zeros(n, dtype=np.float32)
+        self._v = np.zeros(n, dtype=np.float32)
+        self._work = (np.empty(min(n, _CHUNK), dtype=np.float32),
+                      np.empty(min(n, _CHUNK), dtype=np.float32))
+        self._data_views, self._grad_views = [], []
+        lo = 0
+        for _, p in self.params:
+            hi = lo + p.data.size
+            data = self._flat[lo:hi].reshape(p.data.shape)
+            data[...] = p.data
+            p.data = data
+            p._grad_view = self._grad[lo:hi].reshape(data.shape)
+            self._data_views.append(data)
+            self._grad_views.append(p._grad_view)
+            lo = hi
 
     def step(self, lr: Optional[float] = None):
         adamw_step(self, lr=lr)
@@ -40,26 +75,62 @@ class AdamW:
             p.grad = None
 
 
-def adamw_step(state: AdamW, lr: Optional[float] = None):
-    """Apply one AdamW update to every parameter in `state`."""
-    lr = state.lr if lr is None else lr
-    t = state.step_count + 1
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
-    for (name, p), m, v in zip(state.params, state._m, state._v):
+def _gather(state: AdamW):
+    """Make the flat buffers hold every parameter's current data and gradient."""
+    for (name, p), data, grad in zip(state.params, state._data_views, state._grad_views):
         if p.grad is None:
             raise ValidationError(f"parameter '{name}' has no gradient; run backward first")
-        g = p.grad
-        m *= np.float32(state.beta1)
-        m += np.float32(1.0 - state.beta1) * g
-        v *= np.float32(state.beta2)
-        v += np.float32(1.0 - state.beta2) * (g * g)
-        mhat = m / np.float32(bc1)
-        vhat = v / np.float32(bc2)
-        update = mhat / (np.sqrt(vhat) + np.float32(state.eps))
+        if p.grad is not grad:
+            if p.grad.shape != grad.shape:
+                raise ValidationError(
+                    f"parameter '{name}': grad shape {p.grad.shape} does not match "
+                    f"its slot's {grad.shape}")
+            grad[...] = p.grad
+        if p.data is not data:
+            if p.data.shape != data.shape:
+                raise ValidationError(
+                    f"parameter '{name}': data shape {p.data.shape} does not match "
+                    f"its slot's {data.shape}")
+            data[...] = p.data
+            p.data = data
+
+
+def adamw_step(state: AdamW, lr: Optional[float] = None):
+    """Apply one AdamW update to every parameter in `state`."""
+    _gather(state)
+    lr = np.float32(state.lr if lr is None else lr)
+    t = state.step_count + 1
+    b1, b2 = np.float32(state.beta1), np.float32(state.beta2)
+    c1, c2 = np.float32(1.0 - state.beta1), np.float32(1.0 - state.beta2)
+    bc1 = np.float32(1.0 - state.beta1 ** t)
+    bc2 = np.float32(1.0 - state.beta2 ** t)
+    eps, wd = np.float32(state.eps), np.float32(state.weight_decay)
+    n = state._flat.size
+    for lo in range(0, n, _CHUNK):
+        hi = min(lo + _CHUNK, n)
+        p, g = state._flat[lo:hi], state._grad[lo:hi]
+        m, v = state._m[lo:hi], state._v[lo:hi]
+        a, b = state._work[0][:hi - lo], state._work[1][:hi - lo]
+        # Per value, in the per-tensor order: m = b1*m + c1*g,
+        # v = b2*v + c2*(g*g), update = (m/bc1) / (sqrt(v/bc2) + eps)
+        # [+ wd*p], p -= lr*update.
+        m *= b1
+        np.multiply(c1, g, out=a)
+        m += a
+        v *= b2
+        np.multiply(g, g, out=a)
+        a *= c2
+        v += a
+        np.divide(m, bc1, out=a)
+        np.divide(v, bc2, out=b)
+        np.sqrt(b, out=b)
+        b += eps
+        a /= b
         if state.weight_decay:
-            update = update + np.float32(state.weight_decay) * p.data
-        p.data -= np.float32(lr) * update
+            np.multiply(wd, p, out=b)
+            a += b
+        a *= lr
+        p -= a
     state.step_count = t
 
 

@@ -8,7 +8,9 @@ descending sequence order is a valid reverse topological traversal.
 Storage is float32 everywhere; reductions (sums, statistics, losses)
 accumulate in float64 internally before casting back. Values are treated
 as immutable once created, except parameter data mutated by the optimizer
-and gradient buffers.
+and gradient buffers. An optimizer may give a parameter a gradient view
+(`_grad_view`, a slice of its flat gradient buffer); `backward` writes the
+parameter's gradient there instead of allocating one.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import numpy as np
 from ..errors import ValidationError
 
 _node_counter = itertools.count()
+_ZERO = np.float32(0.0)
 _grad_enabled = True
 
 
@@ -68,13 +71,14 @@ class Node:
 class Tensor:
     """N-dimensional float32 array, optionally tracked for gradients."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_node", "__weakref__")
+    __slots__ = ("data", "requires_grad", "grad", "_grad_view", "_node", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float32)
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
+        self._grad_view: Optional[np.ndarray] = None
         self._node: Optional[Node] = None
 
     # -- basic introspection -------------------------------------------------
@@ -174,6 +178,7 @@ def record(op: str, out_data: np.ndarray, inputs: Sequence[Tensor],
     out.data = out_data
     out.requires_grad = needs
     out.grad = None
+    out._grad_view = None
     out._node = None
     if needs:
         out._node = Node(op, inputs, out, backward_fn)
@@ -216,12 +221,23 @@ def backward(root: Tensor):
             g = g.astype(np.float32, copy=False)
             if t._node is None:
                 if t.grad is None:
-                    t.grad = np.zeros_like(t.data)
-                t.grad += g
+                    # g + 0 rounds like the zeros-then-add it replaces, signed
+                    # zero included, and needs no zeroed buffer.
+                    view = t._grad_view
+                    if view is None or view.shape != t.data.shape:
+                        view = np.empty_like(t.data)
+                    t.grad = np.add(g, _ZERO, out=view)
+                else:
+                    t.grad += g
             else:
                 acc = flowing.get(id(t))
                 if acc is None:
-                    # Copy: closures may hand back views or shared buffers.
-                    flowing[id(t)] = g.copy()
+                    # Closures may hand back views or shared buffers, so no
+                    # flowing gradient is ever written in place. A strided
+                    # view is still copied: matmul's backward would hand it to
+                    # BLAS, which then sums in another order and changes the
+                    # result in the last bits. (np.ascontiguousarray would
+                    # also turn a 0-d gradient into a 1-d one.)
+                    flowing[id(t)] = g if g.flags.c_contiguous else g.copy()
                 else:
-                    acc += g
+                    flowing[id(t)] = acc + g

@@ -4,8 +4,10 @@ For any input, `load_dataset` and `load_ppm` either return a well-formed
 result or raise a `VlmkitError` that names the record or the file;
 `tokenize_and_label` and `tokenize_prompt` either raise a `VlmkitError` or
 return ids and labels that agree with each other and with the template;
-`resolve_model_config` either resolves a config or raises a `VlmkitError`
-that starts with the key it is about.
+`collate` either batches its samples or raises a `VlmkitError` that names
+the sample (or `pad_to`, when that is below 1); `resolve_model_config`
+either resolves a config or raises a `VlmkitError` that starts with the key
+it is about.
 """
 
 import json
@@ -16,9 +18,9 @@ import numpy as np
 from hypothesis import example, given, strategies as st
 
 from helpers import FUZZ
-from vlmkit.data import (BUILTIN_TEMPLATES, IMAGE_ID, IMAGE_PLACEHOLDER, ByteTokenizer,
-                         Conversation, Turn, load_dataset, load_ppm, render_prompt,
-                         tokenize_and_label, tokenize_prompt)
+from vlmkit.data import (BUILTIN_TEMPLATES, IMAGE_ID, IMAGE_PLACEHOLDER, PAD_ID, ByteTokenizer,
+                         Conversation, Turn, collate, load_dataset, load_ppm,
+                         render_prompt, tokenize_and_label, tokenize_prompt)
 from vlmkit.data.conversations import ROLE_ASSISTANT, ROLE_HUMAN
 from vlmkit.errors import VlmkitError
 from vlmkit.model import ConnectorConfig, LLMConfig, VisionTowerConfig, resolve_model_config
@@ -174,6 +176,95 @@ def test_tokenize_labels_or_raises(conv, tpl):
     else:
         prefix = TOK.encode(tpl.assistant_prefix)
         np.testing.assert_array_equal(prompt, np.concatenate([ids, prefix]))
+
+
+# -- collate ---------------------------------------------------------------------------
+
+
+# Any text but "<", so that only the drawn placeholder makes an image token.
+COLLATE_TEXTS = st.text(st.characters(exclude_characters="<"), max_size=8)
+
+
+@st.composite
+def tokenized_samples(draw, index):
+    """A labeled sample with multi-byte text, often with an image of one of two sizes."""
+    question, answer = draw(COLLATE_TEXTS), draw(COLLATE_TEXTS)
+    has_image = draw(st.booleans())
+    if has_image:
+        at = draw(st.integers(0, len(question)))
+        question = question[:at] + "<image>" + question[at:]
+    conv = Conversation(f"s{index}", "x.ppm" if has_image else None,
+                        [Turn(ROLE_HUMAN, question), Turn(ROLE_ASSISTANT, answer)])
+    sample = tokenize_and_label(conv, draw(st.sampled_from(list(BUILTIN_TEMPLATES.values()))),
+                                TOK)
+    if has_image:
+        size = draw(st.sampled_from([2, 3]))
+        sample.image = np.zeros((3, size, size), dtype=np.float32)
+    return sample
+
+
+COLLATE_CASES = st.integers(1, 4).flatmap(
+    lambda b: st.tuples(st.tuples(*(tokenized_samples(i) for i in range(b))),
+                        st.integers(-2, 48)))
+
+
+def _collate_case(image_sizes, pad_to):
+    """Samples "日日" + [image] + "é" + EOS under `plain` (ids: 6 text bytes,
+    the image token at index 6 when there is one, then 3 more), one per
+    entry of `image_sizes` (None: text only)."""
+    samples = []
+    for i, size in enumerate(image_sizes):
+        conv = Conversation(f"s{i}", None if size is None else "x.ppm",
+                            [Turn(ROLE_HUMAN, "日日" + ("" if size is None else "<image>")),
+                             Turn(ROLE_ASSISTANT, "é")])
+        sm = tokenize_and_label(conv, BUILTIN_TEMPLATES["plain"], TOK)
+        if size is not None:
+            sm.image = np.zeros((3, size, size), dtype=np.float32)
+        samples.append(sm)
+    return tuple(samples), pad_to
+
+
+@FUZZ
+@given(case=COLLATE_CASES)
+@example(case=_collate_case([None], 0))
+@example(case=_collate_case([None], -1))       # a negative cut would keep ids[:-1]
+@example(case=_collate_case([None], 4))        # cut inside the second character
+@example(case=_collate_case([2, None], 6))     # cut right at the placeholder
+@example(case=_collate_case([2, None], 7))     # cut right after it
+@example(case=_collate_case([2, None], 10))    # mixed batch, nothing cut
+@example(case=_collate_case([2, 3], 10))       # images of two sizes
+def test_collate_batches_or_names_the_sample(case):
+    samples, pad_to = case
+    try:
+        batch = collate(list(samples), pad_to)
+    except VlmkitError as exc:
+        if pad_to < 1:
+            assert "pad_to" in str(exc), str(exc)
+        else:
+            assert any(f"'{sm.conv_id}'" in str(exc) for sm in samples), str(exc)
+        return
+    assert pad_to >= 1
+    assert batch.ids.shape == batch.labels.shape == (len(samples), pad_to)
+    assert batch.truncated == sum(len(sm) > pad_to for sm in samples)
+    for row, sm in enumerate(samples):
+        kept = batch.lengths[row]
+        assert kept == len(sm) if len(sm) <= pad_to else pad_to - 3 <= kept <= pad_to
+        np.testing.assert_array_equal(batch.ids[row, :kept], sm.input_ids[:kept])
+        np.testing.assert_array_equal(batch.labels[row, :kept], sm.labels[:kept])
+        assert (batch.ids[row, kept:] == PAD_ID).all()
+        assert (batch.labels[row, kept:] == IGNORE_INDEX).all()
+        # No cut splits a character: the kept bytes decode strictly.
+        bytes(int(i) for i in batch.ids[row, :kept] if i < 256).decode("utf-8")
+        index = batch.image_token_indices[row]
+        assert index == sm.image_token_index
+        assert index is None or batch.ids[row, index] == IMAGE_ID
+    with_image = [sm.image is not None for sm in samples]
+    if all(with_image):
+        assert batch.images.shape == (len(samples),) + samples[0].image.shape
+    elif any(with_image):
+        assert [img is not None for img in batch.images] == with_image
+    else:
+        assert batch.images is None
 
 
 # -- resolve_model_config --------------------------------------------------------------

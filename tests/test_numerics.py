@@ -7,7 +7,9 @@ import weakref
 import numpy as np
 import pytest
 
+from vlmkit.data import ByteTokenizer, Conversation, Turn, tokenize_and_label
 from vlmkit.errors import DimensionError, ValidationError
+from vlmkit.model import build_model, sequence_loss
 from vlmkit.numerics import (
     AdamW,
     Tensor,
@@ -34,6 +36,7 @@ from vlmkit.numerics import (
     transpose,
     tsum,
 )
+from vlmkit.numerics import optim
 
 
 def rand(shape, seed, lo=-2.0, hi=2.0):
@@ -437,7 +440,101 @@ def test_no_grad_suppresses_recording():
     assert not y.requires_grad and y.is_leaf()
 
 
+def _backward_oracle(root):
+    """The engine's walk before gradient views: every leaf gradient starts as
+    zeros and is added to, every intermediate's first gradient is copied and
+    later ones are added in place."""
+    nodes, stack = {}, [root._node]
+    while stack:
+        node = stack.pop()
+        if node.seq in nodes:
+            continue
+        nodes[node.seq] = node
+        stack.extend(t._node for t in node.inputs
+                     if t._node is not None and t._node.seq not in nodes)
+    flowing = {id(root): np.ones_like(root.data)}
+    for node in sorted(nodes.values(), key=lambda n: n.seq, reverse=True):
+        out_grad = flowing.pop(id(node.out), None)
+        if out_grad is None:
+            continue
+        for t, g in zip(node.inputs, node.backward_fn(out_grad)):
+            if g is None or not t.requires_grad:
+                continue
+            g = g.astype(np.float32, copy=False)
+            if t._node is None:
+                if t.grad is None:
+                    t.grad = np.zeros_like(t.data)
+                t.grad += g
+            elif id(t) in flowing:
+                flowing[id(t)] += g
+            else:
+                flowing[id(t)] = g.copy()
+
+
+# The benchmark's train_align model: two towers at 32 px feeding a qformer.
+ALIGN_CONFIG = {
+    "vision": {"name": "clip_tiny", "config": {"image_size": 32, "patch_size": 4}},
+    "mof": {"name": "dino_tiny", "config": {"image_size": 32, "patch_size": 4}},
+    "connector": {"name": "qformer", "config": {"queries": 4}},
+    "template": "plain",
+}
+
+
+def _vqa_sample(model, seed):
+    conv = Conversation("s", "x.ppm", [Turn("human", "<image>\nWhat color is the square?"),
+                                       Turn("assistant", "red")])
+    sm = tokenize_and_label(conv, model.template(), ByteTokenizer())
+    sm.image = rand((3, model.image_size, model.image_size), seed=seed, lo=-1.0, hi=1.0)
+    return sm
+
+
+@pytest.mark.parametrize("cfg", [{}, ALIGN_CONFIG], ids=["default", "align"])
+@pytest.mark.parametrize("views", [False, True], ids=["owned", "optimizer_views"])
+def test_backward_matches_the_zeros_then_add_walk_bitwise(cfg, views):
+    model = build_model(cfg, seed=5)
+    params = model.named_parameters()
+    if views:
+        opt = AdamW(params)
+        loss, _ = sequence_loss(model, _vqa_sample(model, seed=80))
+        loss.backward()
+        opt.step()      # a second step starts from updated weights and gradient views
+        opt.zero_grad()
+    loss, _ = sequence_loss(model, _vqa_sample(model, seed=81))
+    loss.backward()
+    got = [p.grad.copy() for _, p in params]
+    for _, p in params:
+        p.grad = None
+    _backward_oracle(loss)
+    for (name, p), g in zip(params, got):
+        assert g.dtype == p.grad.dtype and g.shape == p.grad.shape, name
+        assert g.tobytes() == p.grad.tobytes(), name
+
+
+def test_backward_never_writes_a_shared_gradient():
+    # add hands the same gradient array to both inputs, so accumulating into
+    # a's first gradient in place would also change b's.
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    a, b = scale(x, 2.0), scale(x, 3.0)
+    add(add(a, b), a).sum().backward()
+    np.testing.assert_array_equal(x.grad, [7.0, 7.0])
+
+
+def test_backward_first_leaf_gradient_keeps_positive_zero():
+    # zeros + (-0.0) is +0.0; the first contribution must round the same way.
+    x = Tensor([1.0, -1.0], requires_grad=True)
+    scale(x, -0.0).sum().backward()
+    assert np.signbit(x.grad).tolist() == [False, False]
+
+
 # -- shape ops --------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("t,start", [(1, 0), (1, 100), (37, 0), (41, 79), (128, 0)])
+def test_causal_mask_matches_triu_oracle_bytewise(t, start):
+    want = np.triu(np.full((t, start + t), -1e9, dtype=np.float32), k=start + 1)
+    got = causal_mask(t, start=start).data
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def test_causal_mask_with_start_is_the_tail_of_the_full_mask():
@@ -563,6 +660,78 @@ def test_adamw_step_count_increments():
         p.grad = np.ones(1, dtype=np.float32)
         opt.step()
         assert opt.step_count == expected
+
+
+def _adamw_oracle(data, grads, m, v, t, lr, wd, beta1=0.9, beta2=0.999, eps=1e-8):
+    """The per-tensor AdamW loop the flat update replaced, one step."""
+    bc1 = 1.0 - beta1 ** t
+    bc2 = 1.0 - beta2 ** t
+    for p, g, mi, vi in zip(data, grads, m, v):
+        mi *= np.float32(beta1)
+        mi += np.float32(1.0 - beta1) * g
+        vi *= np.float32(beta2)
+        vi += np.float32(1.0 - beta2) * (g * g)
+        mhat = mi / np.float32(bc1)
+        vhat = vi / np.float32(bc2)
+        update = mhat / (np.sqrt(vhat) + np.float32(eps))
+        if wd:
+            update = update + np.float32(wd) * p
+        p -= np.float32(lr) * update
+
+
+@pytest.mark.parametrize("wd", [0.0, 0.05])
+def test_adamw_matches_the_per_tensor_loop_bitwise(wd):
+    # The first tensor ends 100 values short of a chunk, so the second
+    # straddles the chunk boundary.
+    shapes = [(optim._CHUNK - 100,), (37, 11), (5,), (3, 4, 2), (1,)]
+    params = [(f"p{i}", Tensor(rand(s, seed=90 + i), requires_grad=True))
+              for i, s in enumerate(shapes)]
+    ref = [p.data.copy() for _, p in params]
+    m = [np.zeros_like(r) for r in ref]
+    v = [np.zeros_like(r) for r in ref]
+    opt = AdamW(params, lr=0.01, weight_decay=wd)
+    for (_, p), r in zip(params, ref):
+        assert p.data.shape == r.shape and p.data.tobytes() == r.tobytes()
+    for step, lr in enumerate([None, 0.003, None, 0.02], start=1):
+        grads = []
+        for i, (_, p) in enumerate(params):
+            g = rand(shapes[i], seed=100 * step + i, lo=-1.0, hi=1.0)
+            if i == 1:          # user-assigned and not contiguous
+                g = np.ascontiguousarray(g.T).T
+                assert not g.flags.c_contiguous
+                p.grad = g
+            elif i == 3:        # user-assigned
+                p.grad = g
+            else:               # through backward, into the gradient view
+                p.grad = None
+                mul(p, Tensor(g)).sum().backward()
+            grads.append(g)
+        if step == 3:           # a replaced p.data is honoured
+            params[2][1].data = params[2][1].data + np.float32(1.0)
+            ref[2] += np.float32(1.0)
+        opt.step(lr=lr)
+        _adamw_oracle(ref, grads, m, v, step, 0.01 if lr is None else lr, wd)
+        for (name, p), r, g in zip(params, ref, grads):
+            assert p.data.tobytes() == r.tobytes(), (step, name)
+            np.testing.assert_array_equal(p.grad, g)
+
+
+def test_adamw_rejects_a_parameter_listed_twice():
+    p = Tensor([1.0], requires_grad=True)
+    with pytest.raises(ValidationError, match="'b' is listed twice"):
+        AdamW([("a", p), ("b", p)])
+
+
+@pytest.mark.parametrize("field", ["grad", "data"])
+def test_adamw_shape_mismatch_names_the_parameter(field):
+    ok = Tensor([1.0, 2.0], requires_grad=True)
+    p = Tensor([1.0, 2.0], requires_grad=True)
+    opt = AdamW([("ok", ok), ("w", p)], lr=0.1)
+    ok.grad = np.ones(2, dtype=np.float32)
+    p.grad = np.ones(2, dtype=np.float32)
+    setattr(p, field, np.ones((1, 2), dtype=np.float32))
+    with pytest.raises(ValidationError, match=f"'w': {field} shape"):
+        opt.step()
 
 
 # -- LR schedule --------------------------------------------------------------
