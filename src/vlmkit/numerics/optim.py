@@ -24,6 +24,21 @@ from .tensor import Tensor
 
 _CHUNK = 1 << 15
 
+# (rule, test) pairs for hyperparameters; NaN fails every test.
+_NON_NEGATIVE = ("finite and >= 0", lambda x: 0 <= x < math.inf)
+_POSITIVE = ("finite and > 0", lambda x: 0 < x < math.inf)
+_FRACTION = ("in [0, 1)", lambda x: 0 <= x < 1)
+
+
+def _require(name: str, value, rule) -> None:
+    text, ok = rule
+    try:
+        good = ok(float(value))
+    except (TypeError, ValueError):
+        good = False
+    if not good:
+        raise ValidationError(f"{name} must be {text}, got {value!r}")
+
 
 class AdamW:
     """Flat parameter, gradient and moment buffers plus the update rule.
@@ -36,6 +51,11 @@ class AdamW:
     def __init__(self, params: Sequence[Tuple[str, Tensor]], lr: float = 1e-3,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
                  weight_decay: float = 0.0):
+        _require("lr", lr, _NON_NEGATIVE)
+        _require("beta1", beta1, _FRACTION)
+        _require("beta2", beta2, _FRACTION)
+        _require("eps", eps, _POSITIVE)
+        _require("weight_decay", weight_decay, _NON_NEGATIVE)
         self.params = list(params)
         self.lr = lr
         self.beta1 = beta1
@@ -97,6 +117,8 @@ def _gather(state: AdamW):
 
 def adamw_step(state: AdamW, lr: Optional[float] = None):
     """Apply one AdamW update to every parameter in `state`."""
+    if lr is not None:
+        _require("lr", lr, _NON_NEGATIVE)
     _gather(state)
     lr = np.float32(state.lr if lr is None else lr)
     t = state.step_count + 1
@@ -139,12 +161,25 @@ def lr_schedule(step: int, total_steps: int, peak_lr: float, warmup_ratio: float
 
     Warmup covers ceil(warmup_ratio * total_steps) steps; the value at the
     warmup boundary is exactly peak_lr and at `total_steps` exactly zero.
+    So at least one step must be left to decay over: a ratio whose warmup
+    reaches `total_steps` is rejected, as are `total_steps` outside
+    [1, 2**53) (where floats stop counting steps exactly), a ratio outside
+    [0, 1) and a `peak_lr` that is negative or not finite.
     """
+    if not 1 <= total_steps < 2 ** 53:
+        raise ValidationError(f"total_steps must be in [1, 2**53), got {total_steps!r}")
     if not 0 <= step <= total_steps:
-        raise ValidationError(f"step {step} outside [0, {total_steps}]")
+        raise ValidationError(f"step must be in [0, total_steps={total_steps}], got {step!r}")
+    _require("peak_lr", peak_lr, _NON_NEGATIVE)
+    _require("warmup_ratio", warmup_ratio, _FRACTION)
     warmup = math.ceil(warmup_ratio * total_steps)
-    if warmup > 0 and step < warmup:
+    if warmup >= total_steps:
+        raise ValidationError(
+            f"warmup_ratio {warmup_ratio!r} gives {warmup} warmup steps, leaving none of "
+            f"total_steps {total_steps} to decay over")
+    if step < warmup:
         return peak_lr * step / warmup
-    span = max(total_steps - warmup, 1)
-    progress = (step - warmup) / span
-    return peak_lr * 0.5 * (1.0 + math.cos(math.pi * progress))
+    progress = (step - warmup) / (total_steps - warmup)
+    # The factor is exactly 1 where warmup ends; peak_lr * 0.5 first would
+    # round a subnormal peak_lr.
+    return peak_lr * (0.5 * (1.0 + math.cos(math.pi * progress)))

@@ -11,11 +11,22 @@ as immutable once created, except parameter data mutated by the optimizer
 and gradient buffers. An optimizer may give a parameter a gradient view
 (`_grad_view`, a slice of its flat gradient buffer); `backward` writes the
 parameter's gradient there instead of allocating one.
+
+Importing this module sets two thresholds of glibc's allocator, for the
+whole process: blocks up to 32 MiB come from the heap rather than from
+their own mappings, and free memory at the top of the heap is handed back
+to the system only once it exceeds 64 MiB (glibc's own ceilings for its
+adaptive values). A training step frees its whole tape at once when the
+loss is dropped; with the default thresholds glibc then trims the heap and
+the next step faults those pages back in, a thousand or more per step on
+the default model. The allocator is one per process, so the setting cannot
+be scoped to this module. Nothing is set where the C library is not glibc.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
 import weakref
 from typing import Callable, Optional, Sequence
 
@@ -27,19 +38,54 @@ _node_counter = itertools.count()
 _ZERO = np.float32(0.0)
 _grad_enabled = True
 
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_memory():
+    """Raise glibc's trim and mmap thresholds; a no-op on any other libc."""
+    # platform.libc_ver() makes this check first; where it fails, libc_ver()
+    # goes on to read the interpreter's whole binary, which an import should
+    # not do.
+    try:
+        libc = os.confstr("CS_GNU_LIBC_VERSION") or ""
+    except (AttributeError, ValueError, OSError):
+        return
+    if not libc.startswith("glibc "):
+        return
+    try:
+        import ctypes
+        mallopt = ctypes.CDLL(None).mallopt
+    except (ImportError, OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
+_keep_freed_memory()
+
 
 class no_grad:
-    """Context manager that disables graph recording inside its block."""
+    """Context manager that disables graph recording inside its block.
+
+    One instance may be entered again while active; each exit restores the
+    state its own entry saw.
+    """
+
+    def __init__(self):
+        self._prev = []
 
     def __enter__(self):
         global _grad_enabled
-        self._prev = _grad_enabled
+        self._prev.append(_grad_enabled)
         _grad_enabled = False
         return self
 
     def __exit__(self, *exc):
         global _grad_enabled
-        _grad_enabled = self._prev
+        _grad_enabled = self._prev.pop()
         return False
 
 

@@ -7,10 +7,13 @@ return ids and labels that agree with each other and with the template;
 `collate` either batches its samples or raises a `VlmkitError` that names
 the sample (or `pad_to`, when that is below 1); `resolve_model_config`
 either resolves a config or raises a `VlmkitError` that starts with the key
-it is about.
+it is about; `lr_schedule` either keeps its endpoints (exactly `peak_lr`
+where warmup ends, exactly 0 at `total_steps`) or raises a `VlmkitError`
+that names the argument.
 """
 
 import json
+import math
 import re
 from dataclasses import fields
 
@@ -24,6 +27,7 @@ from vlmkit.data import (BUILTIN_TEMPLATES, IMAGE_ID, IMAGE_PLACEHOLDER, PAD_ID,
 from vlmkit.data.conversations import ROLE_ASSISTANT, ROLE_HUMAN
 from vlmkit.errors import VlmkitError
 from vlmkit.model import ConnectorConfig, LLMConfig, VisionTowerConfig, resolve_model_config
+from vlmkit.numerics import lr_schedule
 from vlmkit.numerics.ops import IGNORE_INDEX
 
 # -- load_dataset ------------------------------------------------------------------
@@ -306,3 +310,29 @@ def test_resolve_model_config_resolves_or_names_the_key(cfg):
             assert str(exc).startswith("model config must be an object"), str(exc)
         return
     assert resolve_model_config(out) == out
+
+
+# -- lr_schedule ---------------------------------------------------------------------
+
+FLOATS = st.floats() | st.sampled_from([0.0, 0.03, 0.5, 0.95, 1.0, 2.0, -0.1])
+STEPS = st.integers(-2, 1000) | st.sampled_from([2 ** 53, 10 ** 400])
+
+
+@FUZZ
+@given(step=STEPS, total=STEPS, peak=FLOATS, ratio=FLOATS)
+@example(step=10, total=10, peak=1.0, ratio=1.0)
+@example(step=10, total=10, peak=1.0, ratio=0.95)
+@example(step=10, total=10, peak=1.0, ratio=2.0)
+@example(step=5, total=10, peak=1.0, ratio=math.nan)
+@example(step=0, total=10, peak=1.0, ratio=-0.1)
+@example(step=0, total=0, peak=1.0, ratio=0.0)
+def test_lr_schedule_keeps_its_endpoints_or_names_the_argument(step, total, peak, ratio):
+    try:
+        value = lr_schedule(step, total, peak, warmup_ratio=ratio)
+    except VlmkitError as exc:
+        assert re.match(r"(step|total_steps|peak_lr|warmup_ratio) ", str(exc)), str(exc)
+        return
+    warmup = math.ceil(ratio * total)
+    assert lr_schedule(warmup, total, peak, warmup_ratio=ratio) == peak
+    assert lr_schedule(total, total, peak, warmup_ratio=ratio) == 0.0
+    assert 0.0 <= value <= peak

@@ -2,7 +2,12 @@
 
 import gc
 import math
+import os
+import platform
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -440,6 +445,65 @@ def test_no_grad_suppresses_recording():
     assert not y.requires_grad and y.is_leaf()
 
 
+def test_one_no_grad_entered_twice_restores_recording():
+    x = Tensor([1.0], requires_grad=True)
+    ng = no_grad()
+    with ng:
+        with ng:
+            assert not mul(x, x).requires_grad
+        assert not mul(x, x).requires_grad
+    assert mul(x, x).requires_grad
+    with pytest.raises(KeyError):
+        with ng:
+            with ng:
+                raise KeyError("inside")
+    assert mul(x, x).requires_grad
+
+
+FAULTS_PER_STEP = """
+import resource
+import numpy as np
+from vlmkit.data import BUILTIN_TEMPLATES, ByteTokenizer, Conversation, Turn, tokenize_and_label
+from vlmkit.model import build_model, sequence_loss
+from vlmkit.numerics import AdamW
+
+model = build_model({}, seed=3)
+conv = Conversation(id="s", image_path="x.ppm", turns=[
+    Turn("human", "<image>\\nWhat color is the square?"), Turn("assistant", "red")])
+sample = tokenize_and_label(conv, BUILTIN_TEMPLATES["llava_v1"], ByteTokenizer())
+sample.image = np.random.default_rng(0).uniform(
+    -1, 1, size=(3, model.image_size, model.image_size)).astype(np.float32)
+opt = AdamW(model.named_parameters(), lr=1e-3)
+
+def step():
+    opt.zero_grad()
+    loss, _ = sequence_loss(model, sample)
+    loss.backward()
+    opt.step()
+
+for _ in range(5):
+    step()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(20):
+    step()
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="allocator thresholds are glibc's")
+def test_training_steps_do_not_fault_freed_memory_back_in():
+    # A fresh interpreter: earlier tests may have raised glibc's adaptive
+    # thresholds in this one, which would hide the faults. Without the
+    # thresholds set on import, a default-model step faults 1,000-2,000
+    # pages back in after the previous step's tape was freed.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", FAULTS_PER_STEP], env=env, check=True,
+                         capture_output=True, text=True, timeout=300)
+    assert float(out.stdout) < 50, out.stdout
+
+
 def _backward_oracle(root):
     """The engine's walk before gradient views: every leaf gradient starts as
     zeros and is added to, every intermediate's first gradient is copied and
@@ -732,6 +796,30 @@ def test_adamw_shape_mismatch_names_the_parameter(field):
     setattr(p, field, np.ones((1, 2), dtype=np.float32))
     with pytest.raises(ValidationError, match=f"'w': {field} shape"):
         opt.step()
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"lr": -1.0}, "lr"),
+    ({"lr": float("nan")}, "lr"),
+    ({"lr": float("inf")}, "lr"),
+    ({"beta1": 1.5}, "beta1"),
+    ({"beta1": 1.0}, "beta1"),
+    ({"beta2": -0.1}, "beta2"),
+    ({"eps": 0.0}, "eps"),
+    ({"eps": "tiny"}, "eps"),
+    ({"weight_decay": -0.01}, "weight_decay"),
+    ({"weight_decay": float("nan")}, "weight_decay"),
+    ({"step_lr": -0.5}, "lr"),
+    ({"step_lr": float("nan")}, "lr"),
+])
+def test_adamw_rejects_bad_hyperparameters_by_name(kwargs, name):
+    kwargs = dict(kwargs)
+    step_lr = kwargs.pop("step_lr", None)   # the per-step override, checked the same way
+    p = Tensor([1.0], requires_grad=True)
+    p.grad = np.ones(1, dtype=np.float32)
+    with pytest.raises(ValidationError, match=f"^{name} must be"):
+        AdamW([("p", p)], **kwargs).step(lr=step_lr)
+    assert p.data[0] == 1.0
 
 
 # -- LR schedule --------------------------------------------------------------
