@@ -6,11 +6,13 @@ channel-first float32 [3, H, W] with values byte/255 in [0, 1].
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
-from ..errors import ValidationError
+from ..errors import ValidationError, require_int
+
+# Per-channel normalization of a resized image: (pixel - mean) / std.
+PIXEL_MEAN = np.full((3, 1, 1), 0.5, dtype=np.float32)
+PIXEL_STD = np.full((3, 1, 1), 0.5, dtype=np.float32)
 
 
 def load_ppm(path: str) -> np.ndarray:
@@ -87,10 +89,9 @@ def bilinear_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     return (top * (1 - wy) + bot * wy).astype(np.float32)
 
 
-def preprocess_image(img: np.ndarray, target: int, aspect_mode: str = "square",
-                     mean: Sequence[float] = (0.5, 0.5, 0.5),
-                     std: Sequence[float] = (0.5, 0.5, 0.5)) -> np.ndarray:
-    """Resize to [3, target, target] and normalize per channel.
+def preprocess_image(img: np.ndarray, target: int, aspect_mode: str = "square") -> np.ndarray:
+    """Resize to [3, target, target] and normalize per channel by PIXEL_MEAN and
+    PIXEL_STD.
 
     "square" resizes directly; "pad" first pads the shorter side with the
     image's per-channel mean color (centered, extra pixel at bottom/right),
@@ -103,6 +104,7 @@ def preprocess_image(img: np.ndarray, target: int, aspect_mode: str = "square",
         raise ValidationError("image has a zero-sized dimension")
     if aspect_mode not in ("square", "pad"):
         raise ValidationError(f"aspect_mode must be 'square' or 'pad', got '{aspect_mode}'")
+    require_int("target", target, 1)
 
     if aspect_mode == "pad" and h != w:
         side = max(h, w)
@@ -114,6 +116,4 @@ def preprocess_image(img: np.ndarray, target: int, aspect_mode: str = "square",
         img = canvas
 
     resized = bilinear_resize(img.astype(np.float32), target, target)
-    mean = np.asarray(mean, dtype=np.float32).reshape(3, 1, 1)
-    std = np.asarray(std, dtype=np.float32).reshape(3, 1, 1)
-    return (resized - mean) / std
+    return (resized - PIXEL_MEAN) / PIXEL_STD

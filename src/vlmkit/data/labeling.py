@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import ValidationError
+from ..errors import ValidationError, require_int
 from ..numerics.ops import IGNORE_INDEX
 from .conversations import Conversation
 from .templates import ChatTemplate, template_segments
@@ -108,10 +108,10 @@ def _truncation_cut(ids: np.ndarray, limit: int) -> int:
     return cut
 
 
-def collate(samples: Sequence[TokenizedSample], pad_to: int,
-            pad_id: int = PAD_ID) -> Batch:
-    """Right-pad samples into one batch of `pad_to` (>= 1) columns; labels
-    pad with IGNORE_INDEX. Images, when every sample has one, share a shape.
+def collate(samples: Sequence[TokenizedSample], pad_to: int) -> Batch:
+    """Right-pad samples into one batch of `pad_to` (>= 1) columns: ids pad
+    with PAD_ID, labels with IGNORE_INDEX. Images, when every sample has one,
+    share a shape.
 
     Over-long samples are truncated from the right (never splitting a
     multi-byte character, never dropping the image placeholder) and counted
@@ -119,8 +119,7 @@ def collate(samples: Sequence[TokenizedSample], pad_to: int,
     """
     if not samples:
         raise ValidationError("collate needs at least one sample")
-    if pad_to < 1:
-        raise ValidationError(f"collate: pad_to must be at least 1, got {pad_to}")
+    require_int("pad_to", pad_to, 1)
     rows_ids, rows_labels, lengths, indices = [], [], [], []
     truncated = 0
     for sm in samples:
@@ -136,7 +135,7 @@ def collate(samples: Sequence[TokenizedSample], pad_to: int,
         lengths.append(len(ids))
         indices.append(sm.image_token_index)
         rows_ids.append(np.concatenate(
-            [ids, np.full(pad_to - len(ids), pad_id, dtype=np.int32)]))
+            [ids, np.full(pad_to - len(ids), PAD_ID, dtype=np.int32)]))
         rows_labels.append(np.concatenate(
             [labels, np.full(pad_to - len(labels), IGNORE_INDEX, dtype=np.int32)]))
 

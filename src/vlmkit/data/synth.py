@@ -19,6 +19,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
+from ..errors import ValidationError, require_int
 from ..numerics.rng import Rng
 from .images import write_ppm
 
@@ -118,10 +119,9 @@ def make_sample(seed: int, split: str, index: int) -> Tuple[np.ndarray, dict]:
 
 def synth_vqa_generate(out_dir: str, n: int, seed: int, split: str) -> str:
     """Write `n` samples of a split under out_dir; returns the JSON path."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    require_int("n", n, 1)
     if split not in ("train", "heldout"):
-        raise ValueError(f"split must be 'train' or 'heldout', got '{split}'")
+        raise ValidationError(f"split must be 'train' or 'heldout', got {split!r}")
     images_dir = os.path.join(out_dir, "images")
     os.makedirs(images_dir, exist_ok=True)
     records: List[dict] = []

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Iterator, List, Tuple, Union
 
 from ..errors import ValidationError
-from ..registry import register_component
+from ..registry import registry
 from .conversations import Conversation, ROLE_HUMAN
 from .tokenizer import BOS_ID, EOS_ID, IMAGE_PLACEHOLDER
 
@@ -140,4 +140,4 @@ GEMMA_LIKE = ChatTemplate(
 BUILTIN_TEMPLATES = {t.name: t for t in (PLAIN, LLAVA_V1, GEMMA_LIKE)}
 
 for _tpl in BUILTIN_TEMPLATES.values():
-    register_component("template", _tpl.name, lambda config=None, _t=_tpl: _t)
+    registry.register("template", _tpl.name, lambda config=None, _t=_tpl: _t)

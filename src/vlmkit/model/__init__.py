@@ -5,7 +5,7 @@ for every LLM family; registered names plus configs are what distinguish
 them. Connector names match the five supported kinds exactly.
 """
 
-from ..registry import register_component
+from ..registry import registry
 from .connectors import (
     CONNECTOR_CLASSES,
     Connector,
@@ -24,6 +24,7 @@ from .layers import (
     MultiHeadAttention,
     RMSNorm,
     TransformerBlock,
+    config_from_dict,
 )
 from .llm import LanguageModel, LLMConfig
 from .multimodal import (
@@ -41,21 +42,21 @@ LLM_NAMES = ("phi_tiny", "gemma_tiny", "llama_tiny")
 
 
 def _make_vision(cfg, rng):
-    return VisionTower(VisionTowerConfig.from_dict(cfg or {}), rng)
+    return VisionTower(config_from_dict(VisionTowerConfig, cfg), rng)
 
 
 def _make_llm(cfg, rng):
-    return LanguageModel(LLMConfig.from_dict(cfg or {}), rng)
+    return LanguageModel(config_from_dict(LLMConfig, cfg), rng)
 
 
 for _name in VISION_TOWER_NAMES:
-    register_component("vision", _name, _make_vision)
+    registry.register("vision", _name, _make_vision)
 for _name in LLM_NAMES:
-    register_component("llm", _name, _make_llm)
+    registry.register("llm", _name, _make_llm)
 for _kind, _cls in CONNECTOR_CLASSES.items():
-    register_component(
+    registry.register(
         "connector", _kind,
-        lambda cfg, rng=None, _c=_cls: _c(ConnectorConfig.from_dict(cfg or {}), rng))
+        lambda cfg, rng=None, _c=_cls: _c(config_from_dict(ConnectorConfig, cfg), rng))
 
 __all__ = [
     "CONNECTOR_CLASSES",

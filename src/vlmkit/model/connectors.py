@@ -14,7 +14,7 @@ from typing import List
 from ..errors import DimensionError, ValidationError
 from ..numerics import Rng, Tensor, add, gelu
 from .layers import (INIT_STD, FeedForward, LayerNorm, Linear, Module, MultiHeadAttention,
-                     check_config_fields, config_from_dict)
+                     check_config_fields)
 
 
 @dataclass(frozen=True)
@@ -28,9 +28,12 @@ class ConnectorConfig:
     def __post_init__(self):
         check_config_fields(self)
 
-    @classmethod
-    def from_dict(cls, cfg: dict) -> "ConnectorConfig":
-        return config_from_dict(cls, cfg)
+
+def check_identity_dims(config: ConnectorConfig):
+    """The identity connector passes features through, so d_v must equal d_m."""
+    if config.d_v != config.d_m:
+        raise ValidationError(
+            f"identity connector requires d_v == d_m, got {config.d_v} vs {config.d_m}")
 
 
 class Connector(Module):
@@ -39,27 +42,17 @@ class Connector(Module):
     def __init__(self, config: ConnectorConfig):
         self.config = config
 
-    @property
-    def d_v(self) -> int:
-        return self.config.d_v
-
-    @property
-    def d_m(self) -> int:
-        return self.config.d_m
-
     def _check_input(self, feats: Tensor):
-        if feats.ndim != 2 or feats.shape[1] != self.d_v:
+        if feats.ndim != 2 or feats.shape[1] != self.config.d_v:
             raise DimensionError(
-                f"{self.kind} connector expects [N, {self.d_v}] features, got {feats.shape}")
+                f"{self.kind} connector expects [N, {self.config.d_v}] features, got {feats.shape}")
 
 
 class IdentityConnector(Connector):
     kind = "identity"
 
     def __init__(self, config: ConnectorConfig, rng: Rng = None):
-        if config.d_v != config.d_m:
-            raise ValidationError(
-                f"identity connector requires d_v == d_m, got {config.d_v} vs {config.d_m}")
+        check_identity_dims(config)
         super().__init__(config)
 
     def forward(self, feats: Tensor) -> Tensor:

@@ -159,7 +159,7 @@ class MultiHeadAttention(Module):
         scores = scale(matmul(q, transpose(k, (0, 2, 1))), 1.0 / math.sqrt(dh))
         if mask is not None:
             scores = add(scores, mask)
-        ctx = matmul(softmax(scores, axis=-1), v)
+        ctx = matmul(softmax(scores), v)
         merged = reshape(transpose(ctx, (1, 0, 2)), (tq, self._d_model))
         return self.wo(merged)
 

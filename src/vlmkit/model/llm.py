@@ -43,8 +43,7 @@ import numpy as np
 from ..data.tokenizer import VOCAB_SIZE
 from ..errors import ValidationError
 from ..numerics import Rng, Tensor, add, causal_mask, embedding, matmul, narrow, transpose
-from .layers import (INIT_STD, LayerCache, Module, RMSNorm, TransformerBlock, check_config_fields,
-                     config_from_dict)
+from .layers import INIT_STD, LayerCache, Module, RMSNorm, TransformerBlock, check_config_fields
 
 
 @dataclass(frozen=True)
@@ -58,10 +57,6 @@ class LLMConfig:
         check_config_fields(self)
         if self.width % self.heads:
             raise ValidationError(f"width {self.width} not divisible by heads {self.heads}")
-
-    @classmethod
-    def from_dict(cls, cfg: dict) -> "LLMConfig":
-        return config_from_dict(cls, cfg)
 
 
 class KVCache:

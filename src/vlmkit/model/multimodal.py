@@ -16,40 +16,31 @@ import numpy as np
 from ..data.conversations import Conversation
 from ..data.labeling import TokenizedSample, tokenize_prompt
 from ..data.tokenizer import EOS_ID, ByteTokenizer
-from ..errors import ValidationError
-from ..numerics import Rng, Tensor, concat, masked_cross_entropy, narrow, no_grad
+from ..errors import ValidationError, require_int
+from ..numerics import Rng, Tensor, concat, masked_cross_entropy, no_grad
 from ..numerics.ops import IGNORE_INDEX
 from ..registry import registry
-from .connectors import Connector, ConnectorConfig
-from .layers import Module, as_object
+from .connectors import Connector, ConnectorConfig, check_identity_dims
+from .layers import Module, as_object, config_from_dict
 from .llm import LanguageModel, LLMConfig
-from .vision import DualTower, VisionTowerConfig
+from .vision import DualTower, VisionTowerConfig, check_towers_match
 
 _TOKENIZER = ByteTokenizer()
 
 
 class MultimodalModel(Module):
-    def __init__(self, vision, connector: Connector, llm: LanguageModel,
-                 template_name: str, config: dict,
-                 image_aspect_ratio: str = "square"):
+    """Vision tower, connector and LLM; `config` is the resolved model config,
+    the one home of the chat template and the image aspect ratio."""
+
+    def __init__(self, vision, connector: Connector, llm: LanguageModel, config: dict):
         self.vision = vision
         self.connector = connector
         self.llm = llm
-        self._template_name = template_name
-        self._config = config
-        self._image_aspect_ratio = image_aspect_ratio
-
-    @property
-    def template_name(self) -> str:
-        return self._template_name
-
-    @property
-    def config(self) -> dict:
-        return self._config
+        self.config = config
 
     @property
     def image_aspect_ratio(self) -> str:
-        return self._image_aspect_ratio
+        return self.config["image_aspect_ratio"]
 
     @property
     def image_size(self) -> int:
@@ -59,7 +50,7 @@ class MultimodalModel(Module):
         return self.connector(self.vision(image))
 
     def template(self):
-        return registry.create("template", self._template_name)
+        return registry.create("template", self.config["template"])
 
 
 def compose_multimodal(ids: np.ndarray, labels: Optional[np.ndarray],
@@ -112,9 +103,9 @@ def sequence_loss(model: MultimodalModel, sample: TokenizedSample) -> Tuple[Tens
     embeds, labels2, _ = compose_multimodal(
         sample.input_ids, sample.labels, image_embeds, sample.image_token_index, model.llm)
     logits = model.llm.forward_embeds(embeds)
-    t = embeds.shape[0]
-    shifted = labels2[1:]
-    loss = masked_cross_entropy(narrow(logits, 0, 0, t - 1), shifted)
+    # Position i predicts label i + 1; the last position predicts nothing.
+    shifted = np.append(labels2[1:], IGNORE_INDEX)
+    loss = masked_cross_entropy(logits, shifted)
     return loss, int((shifted != IGNORE_INDEX).sum())
 
 
@@ -138,6 +129,7 @@ def generate(model: MultimodalModel, conv: Conversation,
     becomes the entry. A prompt without an image has an empty head, as does one
     with the image first: it neither uses nor replaces the entry.
     """
+    require_int("max_new_tokens", max_new_tokens, 0)
     tpl = model.template()
     ids, image_idx = tokenize_prompt(conv, tpl, _TOKENIZER)
     if (image_idx is not None) and image is None:
@@ -193,7 +185,8 @@ def _component(spec, kind: str, default: str, config_cls, **defaults):
     spec = as_object(spec, "spec")
     name = spec.get("name", default)
     registry.require(kind, name)
-    return name, config_cls.from_dict({**defaults, **as_object(spec.get("config"), "'config'")})
+    config = {**defaults, **as_object(spec.get("config"), "'config'")}
+    return name, config_from_dict(config_cls, config)
 
 
 def resolve_model_config(cfg: dict) -> dict:
@@ -222,11 +215,7 @@ def resolve_model_config(cfg: dict) -> dict:
     if cfg.get("mof") is not None:
         with _naming("mof"):
             mof_name, mof_cfg = _component(cfg["mof"], "vision", vision_name, VisionTowerConfig)
-            if (mof_cfg.image_size, mof_cfg.patch_size, mof_cfg.width) != (
-                    vision_cfg.image_size, vision_cfg.patch_size, vision_cfg.width):
-                raise ValidationError(
-                    "towers must match image size, patch size, and width: "
-                    f"{asdict(vision_cfg)} vs {asdict(mof_cfg)}")
+            check_towers_match(vision_cfg, mof_cfg)
         out["mof"] = {"name": mof_name, "config": asdict(mof_cfg)}
         n_tokens *= 2
 
@@ -243,9 +232,8 @@ def resolve_model_config(cfg: dict) -> dict:
         if conn_cfg.d_m != llm_cfg.width:
             raise ValidationError(
                 f"d_m={conn_cfg.d_m} does not match llm width {llm_cfg.width}")
-        if conn_name == "identity" and conn_cfg.d_v != conn_cfg.d_m:
-            raise ValidationError(
-                f"identity connector requires d_v == d_m, got {conn_cfg.d_v} vs {conn_cfg.d_m}")
+        if conn_name == "identity":
+            check_identity_dims(conn_cfg)
         if fixed_query and conn_cfg.d_m % conn_cfg.heads:
             raise ValidationError(f"d_m={conn_cfg.d_m} not divisible by heads {conn_cfg.heads}")
     out["connector"] = {"name": conn_name, "config": asdict(conn_cfg)}
@@ -285,11 +273,4 @@ def build_model(model_cfg: dict, seed: int) -> MultimodalModel:
         "connector", resolved["connector"]["name"],
         resolved["connector"]["config"], root.split("connector"))
 
-    return MultimodalModel(
-        vision=vision,
-        connector=connector,
-        llm=llm,
-        template_name=resolved["template"],
-        config=resolved,
-        image_aspect_ratio=resolved["image_aspect_ratio"],
-    )
+    return MultimodalModel(vision, connector, llm, resolved)

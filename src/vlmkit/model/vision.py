@@ -16,7 +16,7 @@ import numpy as np
 from ..errors import DimensionError, ValidationError
 from ..numerics import Rng, Tensor, add
 from .layers import (INIT_STD, LayerNorm, Linear, Module, TransformerBlock, check_config_fields,
-                     config_from_dict, interleave_rows)
+                     interleave_rows)
 
 
 @dataclass(frozen=True)
@@ -39,9 +39,12 @@ class VisionTowerConfig:
     def num_patches(self) -> int:
         return (self.image_size // self.patch_size) ** 2
 
-    @classmethod
-    def from_dict(cls, cfg: dict) -> "VisionTowerConfig":
-        return config_from_dict(cls, cfg)
+
+def check_towers_match(a: VisionTowerConfig, b: VisionTowerConfig):
+    """Feature mixing needs two towers of one image size, patch size and width."""
+    if (a.image_size, a.patch_size, a.width) != (b.image_size, b.patch_size, b.width):
+        raise ValidationError(
+            f"towers must match image size, patch size, and width: {a} vs {b}")
 
 
 def patchify(image: np.ndarray, patch: int) -> np.ndarray:
@@ -81,11 +84,7 @@ class DualTower(Module):
     """Feature mixing over two towers: token-wise interleaving of outputs."""
 
     def __init__(self, tower_a: VisionTower, tower_b: VisionTower):
-        ca, cb = tower_a.config, tower_b.config
-        if (ca.image_size, ca.patch_size, ca.width) != (cb.image_size, cb.patch_size, cb.width):
-            raise ValidationError(
-                "dual-tower requires matching image size, patch size, and width; "
-                f"got {ca} vs {cb}")
+        check_towers_match(tower_a.config, tower_b.config)
         self.tower_a = tower_a
         self.tower_b = tower_b
 

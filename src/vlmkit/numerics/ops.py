@@ -134,16 +134,16 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return record("matmul", out, (a, b), bw)
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Softmax along `axis`, stabilized by max subtraction."""
-    if x.shape[axis] < 1:
-        raise DimensionError(f"softmax axis must be non-empty, shape {x.shape}")
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
+def softmax(x: Tensor) -> Tensor:
+    """Softmax along the last axis, stabilized by max subtraction."""
+    if x.ndim == 0 or x.shape[-1] < 1:
+        raise DimensionError(f"softmax needs a non-empty last axis, shape {x.shape}")
+    shifted = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True, dtype=np.float64).astype(np.float32)
+    out = e / e.sum(axis=-1, keepdims=True, dtype=np.float64).astype(np.float32)
 
     def bw(g):
-        dot = (g * out).sum(axis=axis, keepdims=True)
+        dot = (g * out).sum(axis=-1, keepdims=True)
         return ((g - dot) * out,)
 
     return record("softmax", out, (x,), bw)
@@ -209,8 +209,8 @@ def rms_norm(x: Tensor, gain: Tensor, eps: float = 1e-5) -> Tensor:
     return record("rms_norm", out, (x, gain), bw)
 
 
-def masked_cross_entropy(logits: Tensor, labels, ignore_index: int = IGNORE_INDEX) -> Tensor:
-    """Mean negative log-likelihood over positions whose label is not ignored.
+def masked_cross_entropy(logits: Tensor, labels) -> Tensor:
+    """Mean negative log-likelihood over positions whose label is not IGNORE_INDEX.
 
     `labels` is a plain integer sequence of length T for logits [T, V].
     Returns a scalar 0 with zero gradients when every position is ignored.
@@ -221,7 +221,7 @@ def masked_cross_entropy(logits: Tensor, labels, ignore_index: int = IGNORE_INDE
     t, v = logits.shape
     if labels.shape != (t,):
         raise DimensionError(f"labels length {labels.shape} does not match logits rows {t}")
-    valid = labels != ignore_index
+    valid = labels != IGNORE_INDEX
     bad = np.where(valid & ((labels < 0) | (labels >= v)))[0]
     if bad.size:
         raise ValidationError(

@@ -15,10 +15,12 @@ from typing import Tuple
 
 import numpy as np
 
+from ..errors import require_int
+
 
 class Rng:
     def __init__(self, seed: int, path: Tuple[str, ...] = ()):
-        self.seed = int(seed)
+        self.seed = require_int("seed", seed)
         self.path = tuple(path)
         material = f"{self.seed}:" + "/".join(self.path)
         digest = hashlib.sha256(material.encode("utf-8")).digest()
@@ -31,9 +33,6 @@ class Rng:
 
     def normal(self, shape, std: float = 1.0) -> np.ndarray:
         return (self._gen.standard_normal(size=shape) * std).astype(np.float32)
-
-    def uniform(self, shape, low: float = 0.0, high: float = 1.0) -> np.ndarray:
-        return self._gen.uniform(low, high, size=shape).astype(np.float32)
 
     def integers(self, low: int, high: int, size=None):
         return self._gen.integers(low, high, size=size)

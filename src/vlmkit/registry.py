@@ -48,8 +48,3 @@ class ComponentRegistry:
 
 
 registry = ComponentRegistry()
-
-
-def register_component(kind: str, name: str, factory: Callable):
-    """Register `factory` under `name` in the process-wide registry."""
-    registry.register(kind, name, factory)

@@ -1,6 +1,7 @@
 """Dataset loading, templating, tokenization/masking, images, synthesis."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -513,7 +514,7 @@ def test_synth_deterministic(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     pa = synth_vqa_generate(str(a), n=4, seed=7, split="train")
     pb = synth_vqa_generate(str(b), n=4, seed=7, split="train")
-    assert open(pa, "rb").read() == open(pb, "rb").read()
+    assert Path(pa).read_bytes() == Path(pb).read_bytes()
     for i in range(4):
         name = f"images/train_{i:05d}.ppm"
         assert (a / name).read_bytes() == (b / name).read_bytes()
@@ -543,8 +544,8 @@ def test_synth_yes_no_balance_at_n1000():
 def test_synth_splits_disjoint_ids(tmp_path):
     pa = synth_vqa_generate(str(tmp_path), n=6, seed=9, split="train")
     pb = synth_vqa_generate(str(tmp_path), n=6, seed=9, split="heldout")
-    ids_a = {r["id"] for r in json.load(open(pa))}
-    ids_b = {r["id"] for r in json.load(open(pb))}
+    ids_a = {r["id"] for r in json.loads(Path(pa).read_bytes())}
+    ids_b = {r["id"] for r in json.loads(Path(pb).read_bytes())}
     assert not ids_a & ids_b
 
 

@@ -5,7 +5,7 @@ result or raise a `VlmkitError` that names the record or the file;
 `tokenize_and_label` and `tokenize_prompt` either raise a `VlmkitError` or
 return ids and labels that agree with each other and with the template;
 `collate` either batches its samples or raises a `VlmkitError` that names
-the sample (or `pad_to`, when that is below 1); `resolve_model_config`
+the sample (or `pad_to`, when that is not an integer of at least 1); `resolve_model_config`
 either resolves a config or raises a `VlmkitError` that starts with the key
 it is about; `lr_schedule` either keeps its endpoints (exactly `peak_lr`
 where warmup ends, exactly 0 at `total_steps`) or raises a `VlmkitError`
@@ -237,17 +237,18 @@ def _collate_case(image_sizes, pad_to):
 @example(case=_collate_case([2, None], 7))     # cut right after it
 @example(case=_collate_case([2, None], 10))    # mixed batch, nothing cut
 @example(case=_collate_case([2, 3], 10))       # images of two sizes
+@example(case=_collate_case([None], 3.5))      # a float would index the ids
 def test_collate_batches_or_names_the_sample(case):
     samples, pad_to = case
     try:
         batch = collate(list(samples), pad_to)
     except VlmkitError as exc:
-        if pad_to < 1:
+        if not isinstance(pad_to, int) or pad_to < 1:
             assert "pad_to" in str(exc), str(exc)
         else:
             assert any(f"'{sm.conv_id}'" in str(exc) for sm in samples), str(exc)
         return
-    assert pad_to >= 1
+    assert isinstance(pad_to, int) and pad_to >= 1
     assert batch.ids.shape == batch.labels.shape == (len(samples), pad_to)
     assert batch.truncated == sum(len(sm) > pad_to for sm in samples)
     for row, sm in enumerate(samples):

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from vlmkit.data import ByteTokenizer, Conversation, Turn, tokenize_prompt
+from vlmkit.data import (BUILTIN_TEMPLATES, ByteTokenizer, Conversation, Turn, collate,
+                         make_sample, preprocess_image, synth_vqa_generate, tokenize_prompt)
 from vlmkit.data.tokenizer import EOS_ID
 from vlmkit.errors import DimensionError, RegistryError, ValidationError
 from vlmkit.model import (
@@ -22,7 +23,8 @@ from vlmkit.model import (
     multimodal,
     sequence_loss,
 )
-from vlmkit.numerics import AdamW, Rng, Tensor, concat, narrow, no_grad, scale
+from vlmkit.numerics import (AdamW, Rng, Tensor, backward, concat, masked_cross_entropy, narrow,
+                             no_grad, scale)
 from vlmkit.numerics.ops import IGNORE_INDEX
 from vlmkit.registry import registry
 
@@ -99,6 +101,18 @@ def test_registry_user_registration_round_trip():
 def test_registry_rejects_empty_name():
     with pytest.raises(RegistryError):
         registry.register("llm", "", lambda: None)
+
+
+@pytest.mark.parametrize("kind, name, config_cls", [
+    ("vision", "clip_tiny", VisionTowerConfig),
+    ("llm", "phi_tiny", LLMConfig),
+    ("connector", "mlp", ConnectorConfig),
+])
+@pytest.mark.parametrize("config", ["", 0])
+def test_registry_factories_reject_a_falsy_non_object_config(kind, name, config_cls, config):
+    with pytest.raises(ValidationError) as ei:
+        registry.create(kind, name, config, Rng(0))
+    assert f"{config_cls.__name__} config must be an object" in str(ei.value)
 
 
 # -- vision tower ------------------------------------------------------------------
@@ -308,7 +322,7 @@ def test_parameters_are_named_parameters_in_order(connector, mof):
 # One default-model training step records these nodes, per op.
 DEFAULT_STEP_TAPE = {
     "add": 39, "matmul": 36, "transpose": 21, "reshape": 16, "layer_norm": 9, "gelu": 5,
-    "softmax": 4, "scale": 4, "embedding": 2, "narrow": 2, "concat": 1,
+    "softmax": 4, "scale": 4, "embedding": 2, "narrow": 1, "concat": 1,
     "masked_cross_entropy": 1, "rms_norm": 1,
 }
 
@@ -345,6 +359,28 @@ def test_loss_all_ignored_is_zero():
     loss, supervised = sequence_loss(model, sm)
     assert supervised == 0
     assert loss.item() == 0.0
+
+
+def _narrow_sequence_loss(model, sm):
+    """The earlier form of `sequence_loss`: drop the last logits row, then shift."""
+    embeds, labels2, _ = compose_multimodal(
+        sm.input_ids, sm.labels, model.encode_image(sm.image), sm.image_token_index, model.llm)
+    logits = model.llm.forward_embeds(embeds)
+    return masked_cross_entropy(narrow(logits, 0, 0, logits.shape[0] - 1), labels2[1:])
+
+
+@pytest.mark.parametrize("connector, mof", [("mlp", False), ("qformer", True)])
+def test_sequence_loss_is_bit_identical_to_the_narrow_form(connector, mof):
+    model = build_model(tiny_model_cfg(connector=connector, mof=mof), seed=SEED)
+    sm = _sample_for(model)
+    results = []
+    for loss_fn in (lambda: sequence_loss(model, sm)[0], lambda: _narrow_sequence_loss(model, sm)):
+        for p in model.parameters():
+            p.grad = None
+        loss = loss_fn()
+        backward(loss)
+        results.append((loss.data.tobytes(), [p.grad.tobytes() for p in model.parameters()]))
+    assert results[0] == results[1]
 
 
 def test_missing_image_for_placeholder():
@@ -401,7 +437,7 @@ def test_generate_image_placeholder_consistency():
 def test_generate_prompt_too_long():
     model = build_model(tiny_model_cfg(), seed=SEED)
     conv = Conversation(id="long", turns=[Turn("human", "x" * 500)])
-    tpl = registry.create("template", model.template_name)
+    tpl = model.template()
     ids, image_idx = tokenize_prompt(conv, tpl, ByteTokenizer())
     assert image_idx is None
     with pytest.raises(ValidationError) as ei:
@@ -634,7 +670,7 @@ def test_head_reuse_misses_on_another_head(other):
     img = random_image(seed=21)
     generate(model, _other_question_conv(prefix="Look: "), img, max_new_tokens=6)
     if other == "template":
-        model._template_name = "gemma_like"
+        model.config["template"] = "gemma_like"
         conv = _other_question_conv(prefix="Look: ")
     else:   # a head of the same length
         conv = _other_question_conv(prefix="Book: ")
@@ -691,6 +727,76 @@ def test_resolve_rejects_unknown_component_keys():
     with pytest.raises(ValidationError) as ei:
         build_model(cfg, seed=0)
     assert "bogus_knob" in str(ei.value)
+
+
+def test_model_reads_template_and_aspect_ratio_from_its_config():
+    cfg = tiny_model_cfg()
+    cfg.update(template="plain", image_aspect_ratio="pad")
+    model = build_model(cfg, seed=0)
+    assert model.config["template"] == "plain"
+    assert model.template() is BUILTIN_TEMPLATES["plain"]
+    assert model.image_aspect_ratio == model.config["image_aspect_ratio"] == "pad"
+
+
+def test_each_cross_component_rule_gives_one_message_on_both_paths():
+    small_cfg = VisionTowerConfig(image_size=16, patch_size=8, width=32, depth=1, heads=2)
+    wide_cfg = VisionTowerConfig(image_size=16, patch_size=8, width=64, depth=1, heads=2)
+    with pytest.raises(ValidationError) as direct:
+        DualTower(VisionTower(small_cfg, Rng(1)), VisionTower(wide_cfg, Rng(2)))
+    with pytest.raises(ValidationError) as resolved:
+        build_model({"vision": {"config": vars(small_cfg)}, "mof": {"config": vars(wide_cfg)}},
+                    seed=0)
+    assert str(resolved.value) == f"mof: {direct.value}"
+
+    with pytest.raises(ValidationError) as direct:
+        IdentityConnector(ConnectorConfig(d_v=32, d_m=64))
+    with pytest.raises(ValidationError) as resolved:
+        build_model({"vision": {"config": vars(small_cfg)}, "connector": {"name": "identity"}},
+                    seed=0)
+    assert str(resolved.value) == f"connector: {direct.value}"
+
+
+def _generate_with_budget(budget):
+    model = build_model(tiny_model_cfg(), seed=0)
+    return generate(model, _question_conv(), random_image(), max_new_tokens=budget)
+
+
+def _collate_one(pad_to):
+    sm = _sample_for(build_model(tiny_model_cfg(), seed=0))
+    return collate([sm], pad_to)
+
+
+BAD_ARGUMENTS = [
+    pytest.param("seed", lambda tmp: Rng("abc"), id="Rng-str"),
+    pytest.param("seed", lambda tmp: Rng(None), id="Rng-None"),
+    pytest.param("seed", lambda tmp: Rng(1.5), id="Rng-float"),
+    pytest.param("seed", lambda tmp: Rng(True), id="Rng-bool"),
+    pytest.param("seed", lambda tmp: build_model({}, seed=1.5), id="build_model-float"),
+    pytest.param("seed", lambda tmp: make_sample("abc", "train", 0), id="make_sample-str"),
+    pytest.param("seed", lambda tmp: synth_vqa_generate(str(tmp), 2, 1.5, "train"),
+                 id="synth-seed"),
+    pytest.param("n", lambda tmp: synth_vqa_generate(str(tmp), 0, 1, "train"), id="synth-n0"),
+    pytest.param("n", lambda tmp: synth_vqa_generate(str(tmp), 2.0, 1, "train"), id="synth-nf"),
+    pytest.param("split", lambda tmp: synth_vqa_generate(str(tmp), 2, 1, "dev"),
+                 id="synth-split"),
+    pytest.param("target", lambda tmp: preprocess_image(random_image(), 0), id="target-0"),
+    pytest.param("target", lambda tmp: preprocess_image(random_image(), -2), id="target-neg"),
+    pytest.param("target", lambda tmp: preprocess_image(random_image(), 4.5), id="target-f"),
+    pytest.param("pad_to", lambda tmp: _collate_one(3.5), id="collate-float"),
+    pytest.param("max_new_tokens", lambda tmp: _generate_with_budget(-1), id="generate-neg"),
+    pytest.param("max_new_tokens", lambda tmp: _generate_with_budget(2.5), id="generate-f"),
+]
+
+
+@pytest.mark.parametrize("name, call", BAD_ARGUMENTS)
+def test_entry_points_reject_a_bad_argument_by_name(name, call, tmp_path):
+    with pytest.raises(ValidationError) as ei:
+        call(tmp_path)
+    assert str(ei.value).startswith(f"{name} must be "), str(ei.value)
+
+
+def test_rng_takes_a_numpy_integer_seed_as_the_int():
+    np.testing.assert_array_equal(Rng(np.int64(3)).normal(5), Rng(3).normal(5))
 
 
 def test_resolve_rejects_connector_dim_mismatch():

@@ -173,6 +173,13 @@ def test_softmax_gradient_matches_finite_differences():
     assert err < 1e-3
 
 
+@pytest.mark.parametrize("shape", [(), (3, 0)])
+def test_softmax_needs_a_non_empty_last_axis(shape):
+    with pytest.raises(DimensionError) as ei:
+        softmax(Tensor(np.zeros(shape, dtype=np.float32)))
+    assert "non-empty last axis" in str(ei.value)
+
+
 # -- layer norm ---------------------------------------------------------------
 
 
