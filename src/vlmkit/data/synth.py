@@ -120,6 +120,7 @@ def make_sample(seed: int, split: str, index: int) -> Tuple[np.ndarray, dict]:
 def synth_vqa_generate(out_dir: str, n: int, seed: int, split: str) -> str:
     """Write `n` samples of a split under out_dir; returns the JSON path."""
     require_int("n", n, 1)
+    require_int("seed", seed)       # before anything is written
     if split not in ("train", "heldout"):
         raise ValidationError(f"split must be 'train' or 'heldout', got {split!r}")
     images_dir = os.path.join(out_dir, "images")

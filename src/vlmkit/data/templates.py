@@ -139,5 +139,15 @@ GEMMA_LIKE = ChatTemplate(
 
 BUILTIN_TEMPLATES = {t.name: t for t in (PLAIN, LLAVA_V1, GEMMA_LIKE)}
 
+
+def _factory(tpl: ChatTemplate):
+    """A built-in template has no settings, so its factory takes no config."""
+    def create(config=None):
+        if config is not None:
+            raise ValidationError(f"template '{tpl.name}' takes no config, got {config!r}")
+        return tpl
+    return create
+
+
 for _tpl in BUILTIN_TEMPLATES.values():
-    registry.register("template", _tpl.name, lambda config=None, _t=_tpl: _t)
+    registry.register("template", _tpl.name, _factory(_tpl))

@@ -1,13 +1,13 @@
 """Model components and their registry entries.
 
-One tiny ViT stands in for every vision tower family and one tiny decoder
-for every LLM family; registered names plus configs are what distinguish
-them. Connector names match the five supported kinds exactly.
+The registry is the one list of component names. Each name builds its own
+architecture: `clip_tiny` the tiny ViT, `phi_tiny` the tiny decoder, and each
+connector class is registered under its `kind`. A config sizes a component;
+it does not turn one into another.
 """
 
 from ..registry import registry
 from .connectors import (
-    CONNECTOR_CLASSES,
     Connector,
     ConnectorConfig,
     IdentityConnector,
@@ -37,10 +37,6 @@ from .multimodal import (
 )
 from .vision import DualTower, VisionTower, VisionTowerConfig, patchify
 
-VISION_TOWER_NAMES = ("clip_tiny", "siglip_tiny", "dino_tiny")
-LLM_NAMES = ("phi_tiny", "gemma_tiny", "llama_tiny")
-
-
 def _make_vision(cfg, rng):
     return VisionTower(config_from_dict(VisionTowerConfig, cfg), rng)
 
@@ -49,24 +45,24 @@ def _make_llm(cfg, rng):
     return LanguageModel(config_from_dict(LLMConfig, cfg), rng)
 
 
-for _name in VISION_TOWER_NAMES:
-    registry.register("vision", _name, _make_vision)
-for _name in LLM_NAMES:
-    registry.register("llm", _name, _make_llm)
-for _kind, _cls in CONNECTOR_CLASSES.items():
+registry.register("vision", "clip_tiny", _make_vision)
+# The clip_tiny tower under a second name, kept only because the benchmark's
+# ALIGN_CONFIG names it as its second (MoF) tower.
+registry.register("vision", "dino_tiny", _make_vision)
+registry.register("llm", "phi_tiny", _make_llm)
+for _cls in (IdentityConnector, LinearConnector, MlpConnector, ResamplerConnector,
+             QFormerConnector):
     registry.register(
-        "connector", _kind,
+        "connector", _cls.kind,
         lambda cfg, rng=None, _c=_cls: _c(config_from_dict(ConnectorConfig, cfg), rng))
 
 __all__ = [
-    "CONNECTOR_CLASSES",
     "Connector",
     "ConnectorConfig",
     "DualTower",
     "FeedForward",
     "IdentityConnector",
     "LLMConfig",
-    "LLM_NAMES",
     "LanguageModel",
     "LayerNorm",
     "Linear",
@@ -79,7 +75,6 @@ __all__ = [
     "RMSNorm",
     "ResamplerConnector",
     "TransformerBlock",
-    "VISION_TOWER_NAMES",
     "VisionTower",
     "VisionTowerConfig",
     "build_model",

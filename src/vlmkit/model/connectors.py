@@ -141,9 +141,3 @@ class QFormerConnector(ResamplerConnector):
     kind = "qformer"
     block_class = _QFormerBlock
 
-
-CONNECTOR_CLASSES = {
-    cls.kind: cls
-    for cls in (IdentityConnector, LinearConnector, MlpConnector,
-                ResamplerConnector, QFormerConnector)
-}

@@ -1,9 +1,9 @@
 """Vision towers: a tiny ViT, and a dual-tower feature-mixing wrapper.
 
-One architecture backs every registered tower name; registered names and
-their configs are what distinguish towers, since pretrained weights are
-out of scope at desk scale. The dual-tower wrapper interleaves the two
-towers' output tokens (a0, b0, a1, b1, ...).
+`VisionTower` is the one tower architecture; its config sets the image
+size, patch size, width and depth, and pretrained weights are out of scope
+at desk scale. The dual-tower wrapper interleaves the two towers' output
+tokens (a0, b0, a1, b1, ...).
 """
 
 from __future__ import annotations

@@ -255,7 +255,10 @@ def masked_cross_entropy(logits: Tensor, labels) -> Tensor:
 
 
 def reshape(x: Tensor, shape) -> Tensor:
-    out = x.data.reshape(shape)
+    try:
+        out = x.data.reshape(shape)
+    except ValueError:
+        raise DimensionError(f"reshape: {x.shape} cannot become {shape}") from None
 
     def bw(g):
         return (g.reshape(x.shape),)
@@ -264,7 +267,10 @@ def reshape(x: Tensor, shape) -> Tensor:
 
 
 def transpose(x: Tensor, axes=None) -> Tensor:
-    out = x.data.transpose(axes)
+    try:
+        out = x.data.transpose(axes)
+    except ValueError:
+        raise DimensionError(f"transpose: axes {axes} do not permute {x.shape}") from None
     inv = None      # the inverse of reversing the axes is reversing them
     if axes is not None:
         inv = [0] * len(axes)
@@ -281,7 +287,11 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     if not parts:
         raise ValidationError("concat needs at least one tensor")
     parts = tuple(parts)
-    out = np.concatenate([p.data for p in parts], axis=axis)
+    try:
+        out = np.concatenate([p.data for p in parts], axis=axis)
+    except ValueError:
+        raise DimensionError(
+            f"concat: shapes {[p.shape for p in parts]} do not join on axis {axis}") from None
 
     def bw(g):
         splits = np.cumsum([p.shape[axis] for p in parts])[:-1]
@@ -291,7 +301,8 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 
 def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
-    if start < 0 or start + length > x.shape[axis]:
+    if not (-x.ndim <= axis < x.ndim and 0 <= start and 0 <= length
+            and start + length <= x.shape[axis]):
         raise DimensionError(
             f"narrow [{start}:{start + length}] out of bounds for axis {axis} of {x.shape}")
     idx = [slice(None)] * x.ndim

@@ -19,7 +19,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import ValidationError
+from ..errors import ValidationError, require_int
 from .tensor import Tensor
 
 _CHUNK = 1 << 15
@@ -164,8 +164,11 @@ def lr_schedule(step: int, total_steps: int, peak_lr: float, warmup_ratio: float
     So at least one step must be left to decay over: a ratio whose warmup
     reaches `total_steps` is rejected, as are `total_steps` outside
     [1, 2**53) (where floats stop counting steps exactly), a ratio outside
-    [0, 1) and a `peak_lr` that is negative or not finite.
+    [0, 1) and a `peak_lr` that is negative or not finite. Both step counts
+    must be integers.
     """
+    total_steps = require_int("total_steps", total_steps)
+    step = require_int("step", step)
     if not 1 <= total_steps < 2 ** 53:
         raise ValidationError(f"total_steps must be in [1, 2**53), got {total_steps!r}")
     if not 0 <= step <= total_steps:

@@ -155,9 +155,6 @@ class Tensor:
 
     # -- gradient bookkeeping ------------------------------------------------
 
-    def zero_grad(self):
-        self.grad = None
-
     def backward(self):
         backward(self)
 
@@ -171,49 +168,11 @@ class Tensor:
     def ones(shape, requires_grad: bool = False) -> "Tensor":
         return Tensor(np.ones(shape, dtype=np.float32), requires_grad)
 
-    # -- operator sugar (delegates to ops) -------------------------------------
-
-    def __add__(self, other):
-        from . import ops
-        return ops.add(self, _as_tensor(other))
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        from . import ops
-        if isinstance(other, (int, float)):
-            return ops.scale(self, float(other))
-        return ops.mul(self, _as_tensor(other))
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        from . import ops
-        return ops.matmul(self, _as_tensor(other))
-
-    def reshape(self, *shape):
-        from . import ops
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return ops.reshape(self, shape)
-
-    def transpose(self, axes=None):
-        from . import ops
-        return ops.transpose(self, axes)
+    # -- reductions (delegate to ops) ------------------------------------------
 
     def sum(self):
         from . import ops
         return ops.tsum(self)
-
-    def mean(self):
-        from . import ops
-        return ops.tmean(self)
-
-
-def _as_tensor(x) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(x)
 
 
 def record(op: str, out_data: np.ndarray, inputs: Sequence[Tensor],

@@ -316,7 +316,7 @@ def test_resolve_model_config_resolves_or_names_the_key(cfg):
 # -- lr_schedule ---------------------------------------------------------------------
 
 FLOATS = st.floats() | st.sampled_from([0.0, 0.03, 0.5, 0.95, 1.0, 2.0, -0.1])
-STEPS = st.integers(-2, 1000) | st.sampled_from([2 ** 53, 10 ** 400])
+STEPS = st.integers(-2, 1000) | st.sampled_from([2 ** 53, 10 ** 400, "3", None, 2.5, True])
 
 
 @FUZZ
@@ -327,6 +327,11 @@ STEPS = st.integers(-2, 1000) | st.sampled_from([2 ** 53, 10 ** 400])
 @example(step=5, total=10, peak=1.0, ratio=math.nan)
 @example(step=0, total=10, peak=1.0, ratio=-0.1)
 @example(step=0, total=0, peak=1.0, ratio=0.0)
+@example(step="3", total=10, peak=1.0, ratio=0.0)
+@example(step=None, total=10, peak=1.0, ratio=0.0)
+@example(step=2.5, total=10, peak=1.0, ratio=0.0)
+@example(step=True, total=10, peak=1.0, ratio=0.0)
+@example(step=0, total=10.5, peak=1.0, ratio=0.0)
 def test_lr_schedule_keeps_its_endpoints_or_names_the_argument(step, total, peak, ratio):
     try:
         value = lr_schedule(step, total, peak, warmup_ratio=ratio)

@@ -11,9 +11,11 @@ from vlmkit.model import (
     ConnectorConfig,
     DualTower,
     IdentityConnector,
+    LinearConnector,
     LLMConfig,
     LanguageModel,
     MlpConnector,
+    QFormerConnector,
     ResamplerConnector,
     VisionTower,
     VisionTowerConfig,
@@ -59,6 +61,14 @@ def random_image(side=16, seed=0):
 
 def test_registry_builtin_connector_set():
     assert registry.names("connector") == ["identity", "linear", "mlp", "qformer", "resampler"]
+
+
+def test_registry_has_one_name_per_component():
+    assert registry.names("vision") == ["clip_tiny", "dino_tiny"]
+    assert registry.names("llm") == ["phi_tiny"]
+    for cls in (IdentityConnector, LinearConnector, MlpConnector, ResamplerConnector,
+                QFormerConnector):
+        assert type(registry.create("connector", cls.kind, {}, Rng(0))) is cls
 
 
 def test_registry_create_identity():
@@ -113,6 +123,15 @@ def test_registry_factories_reject_a_falsy_non_object_config(kind, name, config_
     with pytest.raises(ValidationError) as ei:
         registry.create(kind, name, config, Rng(0))
     assert f"{config_cls.__name__} config must be an object" in str(ei.value)
+
+
+@pytest.mark.parametrize("name", ["plain", "llava_v1", "gemma_like"])
+@pytest.mark.parametrize("config", ["", 0, {}, {"bogus": 1}])
+def test_template_factories_reject_any_config(name, config):
+    assert registry.create("template", name) is BUILTIN_TEMPLATES[name]
+    with pytest.raises(ValidationError) as ei:
+        registry.create("template", name, config)
+    assert str(ei.value) == f"template '{name}' takes no config, got {config!r}"
 
 
 # -- vision tower ------------------------------------------------------------------
@@ -636,6 +655,22 @@ def test_head_reuse_hit_gives_the_string_of_a_miss():
         assert hit == miss
 
 
+def test_generate_stops_at_eos_like_the_uncached_decode():
+    model = build_model(tiny_model_cfg(), seed=SEED)
+    sample = _sample_for(model, seed=30)        # answers "red", then EOS
+    opt = AdamW(model.named_parameters(), lr=1e-2)
+    for _ in range(30):
+        opt.zero_grad()
+        loss, _ = sequence_loss(model, sample)
+        backward(loss)
+        opt.step()
+    want, _ = _uncached_decode(model, _question_conv(), sample.image, budget=8)
+    assert want[-1] == EOS_ID and len(want) < 8
+    for head in (0, _head_len(model, _question_conv())):      # a miss, then a hit
+        got, start = _decode_against_uncached(model, _question_conv(), sample.image, budget=8)
+        assert (got, start) == ("red", head)
+
+
 def _bump_one_weight(model):
     # One row, not the whole matrix: the LayerNorm output feeding wv sums to
     # ~0 over features, so a uniform shift would leave stale values within 1e-5.
@@ -775,6 +810,8 @@ BAD_ARGUMENTS = [
     pytest.param("seed", lambda tmp: make_sample("abc", "train", 0), id="make_sample-str"),
     pytest.param("seed", lambda tmp: synth_vqa_generate(str(tmp), 2, 1.5, "train"),
                  id="synth-seed"),
+    pytest.param("seed", lambda tmp: synth_vqa_generate(str(tmp), 2, "abc", "train"),
+                 id="synth-seed-str"),
     pytest.param("n", lambda tmp: synth_vqa_generate(str(tmp), 0, 1, "train"), id="synth-n0"),
     pytest.param("n", lambda tmp: synth_vqa_generate(str(tmp), 2.0, 1, "train"), id="synth-nf"),
     pytest.param("split", lambda tmp: synth_vqa_generate(str(tmp), 2, 1, "dev"),
@@ -793,6 +830,7 @@ def test_entry_points_reject_a_bad_argument_by_name(name, call, tmp_path):
     with pytest.raises(ValidationError) as ei:
         call(tmp_path)
     assert str(ei.value).startswith(f"{name} must be "), str(ei.value)
+    assert list(tmp_path.iterdir()) == []       # rejected before anything is written
 
 
 def test_rng_takes_a_numpy_integer_seed_as_the_int():
@@ -826,6 +864,12 @@ BAD_MODEL_CONFIGS = [
     ({"mof": [1]}, "mof: spec must be an object, got list"),
     ({"connector": {"config": [1]}}, "connector: 'config' must be an object"),
     ({"llm": {"name": ["phi_tiny"]}}, "llm: unknown llm component"),
+    ({"llm": {"name": "gemma_tiny"}},
+     "llm: unknown llm component 'gemma_tiny'; available: phi_tiny"),
+    ({"llm": {"name": "llama_tiny"}},
+     "llm: unknown llm component 'llama_tiny'; available: phi_tiny"),
+    ({"vision": {"name": "siglip_tiny"}},
+     "vision: unknown vision component 'siglip_tiny'; available: clip_tiny, dino_tiny"),
     ({"template": {}}, "template: unknown template component"),
     ({"llm": {"config": {1: 2}}}, "llm: unknown LLMConfig keys: 1"),
     ([1], "model config must be an object, got list"),
