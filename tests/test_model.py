@@ -864,17 +864,17 @@ BAD_MODEL_CONFIGS = [
     ({"mof": [1]}, "mof: spec must be an object, got list"),
     ({"connector": {"config": [1]}}, "connector: 'config' must be an object"),
     ({"llm": {"name": ["phi_tiny"]}}, "llm: unknown llm component"),
+    ({"template": {}}, "template: unknown template component"),
+    ({"llm": {"config": {1: 2}}}, "llm: unknown LLMConfig keys: 1"),
+    ([1], "model config must be an object, got list"),
+    ({"conector": {"name": "qformer"}}, "conector: unknown model config key"),
+    ({"vison": {"config": {"width": 32}}}, "vison: unknown model config key"),
     ({"llm": {"name": "gemma_tiny"}},
      "llm: unknown llm component 'gemma_tiny'; available: phi_tiny"),
     ({"llm": {"name": "llama_tiny"}},
      "llm: unknown llm component 'llama_tiny'; available: phi_tiny"),
     ({"vision": {"name": "siglip_tiny"}},
      "vision: unknown vision component 'siglip_tiny'; available: clip_tiny, dino_tiny"),
-    ({"template": {}}, "template: unknown template component"),
-    ({"llm": {"config": {1: 2}}}, "llm: unknown LLMConfig keys: 1"),
-    ([1], "model config must be an object, got list"),
-    ({"conector": {"name": "qformer"}}, "conector: unknown model config key"),
-    ({"vison": {"config": {"width": 32}}}, "vison: unknown model config key"),
 ]
 
 
