@@ -37,24 +37,20 @@ from .multimodal import (
 )
 from .vision import DualTower, VisionTower, VisionTowerConfig, patchify
 
-def _make_vision(cfg, rng):
-    return VisionTower(config_from_dict(VisionTowerConfig, cfg), rng)
+def _from_config(cls, config_cls):
+    """The registry factory of `cls`: a config dict checked as `config_cls`, then the
+    rest of the arguments (the init stream) as given."""
+    return lambda cfg, *args: cls(config_from_dict(config_cls, cfg), *args)
 
 
-def _make_llm(cfg, rng):
-    return LanguageModel(config_from_dict(LLMConfig, cfg), rng)
-
-
-registry.register("vision", "clip_tiny", _make_vision)
+registry.register("vision", "clip_tiny", _from_config(VisionTower, VisionTowerConfig))
 # The clip_tiny tower under a second name, kept only because the benchmark's
 # ALIGN_CONFIG names it as its second (MoF) tower.
-registry.register("vision", "dino_tiny", _make_vision)
-registry.register("llm", "phi_tiny", _make_llm)
+registry.register("vision", "dino_tiny", _from_config(VisionTower, VisionTowerConfig))
+registry.register("llm", "phi_tiny", _from_config(LanguageModel, LLMConfig))
 for _cls in (IdentityConnector, LinearConnector, MlpConnector, ResamplerConnector,
              QFormerConnector):
-    registry.register(
-        "connector", _cls.kind,
-        lambda cfg, rng=None, _c=_cls: _c(config_from_dict(ConnectorConfig, cfg), rng))
+    registry.register("connector", _cls.kind, _from_config(_cls, ConnectorConfig))
 
 __all__ = [
     "Connector",

@@ -13,7 +13,7 @@ import math
 from dataclasses import fields
 from typing import List, Optional, Tuple
 
-from ..errors import DimensionError, ValidationError
+from ..errors import DimensionError, ValidationError, require_int
 from ..numerics import (Rng, Tensor, add, concat, gelu, layer_norm, matmul, reshape, rms_norm, scale,
                         softmax, transpose)
 
@@ -40,13 +40,12 @@ def config_from_dict(cls, cfg):
 
 
 def check_config_fields(config):
-    """Every field of a component config is an int (not a bool): depth >= 0, the rest >= 1."""
+    """Every field of a component config passes `require_int`, depth >= 0 and the rest
+    >= 1, and is stored as the Python int."""
     for f in fields(config):
-        value = getattr(config, f.name)
-        low = 0 if f.name == "depth" else 1
-        if isinstance(value, bool) or not isinstance(value, int) or value < low:
-            raise ValidationError(
-                f"{type(config).__name__}.{f.name} must be an integer >= {low}, got {value!r}")
+        value = require_int(f"{type(config).__name__}.{f.name}", getattr(config, f.name),
+                            0 if f.name == "depth" else 1)
+        object.__setattr__(config, f.name, value)
 
 
 class Module:
@@ -191,9 +190,12 @@ class TransformerBlock(Module):
 
 
 def interleave_rows(a: Tensor, b: Tensor) -> Tensor:
-    """Row-wise interleaving a0, b0, a1, b1, ... of two [N, d] tensors."""
+    """Row-wise interleaving a0, b0, a1, b1, ... of two [N, d] tensors.
+
+    Row i of the [N, 2d] concat is a_i then b_i, so reading it as [2N, d]
+    interleaves: two tape nodes, a concat and a reshape.
+    """
     if a.shape != b.shape:
         raise DimensionError(f"interleave needs equal shapes, got {a.shape} and {b.shape}")
     n, d = a.shape
-    stacked = concat([reshape(a, (n, 1, d)), reshape(b, (n, 1, d))], axis=1)
-    return reshape(stacked, (2 * n, d))
+    return reshape(concat([a, b], axis=1), (2 * n, d))

@@ -90,7 +90,7 @@ class LanguageModel(Module):
         self._head: Optional[_HeadEntry] = None
 
     def embed_ids(self, ids: np.ndarray) -> Tensor:
-        return embedding(self.tok_embed, np.asarray(ids, dtype=np.int64))
+        return embedding(self.tok_embed, ids)
 
     def new_cache(self) -> KVCache:
         return KVCache(len(self.blocks))

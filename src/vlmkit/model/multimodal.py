@@ -16,7 +16,7 @@ import numpy as np
 from ..data.conversations import Conversation
 from ..data.labeling import TokenizedSample, tokenize_prompt
 from ..data.tokenizer import EOS_ID, ByteTokenizer
-from ..errors import ValidationError, require_int
+from ..errors import ValidationError, VlmkitError, require_int
 from ..numerics import Rng, Tensor, concat, masked_cross_entropy, no_grad
 from ..numerics.ops import IGNORE_INDEX
 from ..registry import registry
@@ -60,17 +60,17 @@ def compose_multimodal(ids: np.ndarray, labels: Optional[np.ndarray],
 
     Returns (embeds [T', d], labels [T'] or None, positions [T']). Labels stay
     aligned with their input positions (`sequence_loss` shifts them); positions
-    covering the image carry IGNORE_INDEX.
+    covering the image carry IGNORE_INDEX. Ids, labels and the index keep the
+    caller's integer types; none is cast, so a float is rejected, not truncated.
     """
-    ids = np.asarray(ids, dtype=np.int64)
+    ids = np.asarray(ids)
     if (image_embeds is None) != (image_token_index is None):
         raise ValidationError("image embeddings and placeholder index must come together")
+    labels = None if labels is None else np.asarray(labels)
     if image_embeds is None:
-        embeds = llm.embed_ids(ids)
-        out_labels = None if labels is None else np.asarray(labels, dtype=np.int32)
-        return embeds, out_labels, np.arange(len(ids))
+        return llm.embed_ids(ids), labels, np.arange(len(ids))
 
-    idx = int(image_token_index)
+    idx = require_int("image token index", image_token_index)
     if not 0 <= idx < len(ids):
         raise ValidationError(f"image token index {idx} outside sequence of length {len(ids)}")
     m = image_embeds.shape[0]
@@ -84,7 +84,6 @@ def compose_multimodal(ids: np.ndarray, labels: Optional[np.ndarray],
 
     out_labels = None
     if labels is not None:
-        labels = np.asarray(labels, dtype=np.int32)
         out_labels = np.concatenate([
             labels[:idx],
             np.full(m, IGNORE_INDEX, dtype=np.int32),
@@ -93,19 +92,31 @@ def compose_multimodal(ids: np.ndarray, labels: Optional[np.ndarray],
     return embeds, out_labels, np.arange(len(ids) - 1 + m)
 
 
+def _encode_paired(model: MultimodalModel, image: Optional[np.ndarray],
+                   image_idx: Optional[int]) -> Optional[Tensor]:
+    """The image's connector tokens, or None without an image; an image and a
+    placeholder in the text come together or not at all."""
+    if image is None and image_idx is not None:
+        raise ValidationError("has an image placeholder but no image")
+    if image is not None and image_idx is None:
+        raise ValidationError("has an image but no image placeholder")
+    return None if image is None else model.encode_image(image)
+
+
 def sequence_loss(model: MultimodalModel, sample: TokenizedSample) -> Tuple[Tensor, int]:
-    """Next-token loss for one sample; returns (loss, supervised token count)."""
-    image_embeds = None
-    if sample.image is not None:
-        image_embeds = model.encode_image(sample.image)
-    elif sample.image_token_index is not None:
-        raise ValidationError(f"sample '{sample.conv_id}' has an image placeholder but no image")
-    embeds, labels2, _ = compose_multimodal(
-        sample.input_ids, sample.labels, image_embeds, sample.image_token_index, model.llm)
-    logits = model.llm.forward_embeds(embeds)
-    # Position i predicts label i + 1; the last position predicts nothing.
-    shifted = np.append(labels2[1:], IGNORE_INDEX)
-    loss = masked_cross_entropy(logits, shifted)
+    """Next-token loss for one sample; returns (loss, supervised token count).
+
+    The sample's image and placeholder must come together. Every error raised
+    inside names the sample.
+    """
+    with _naming(f"sample '{sample.conv_id}'"):
+        image_embeds = _encode_paired(model, sample.image, sample.image_token_index)
+        embeds, labels2, _ = compose_multimodal(
+            sample.input_ids, sample.labels, image_embeds, sample.image_token_index, model.llm)
+        logits = model.llm.forward_embeds(embeds)
+        # Position i predicts label i + 1; the last position predicts nothing.
+        shifted = np.append(labels2[1:], IGNORE_INDEX)
+        loss = masked_cross_entropy(logits, shifted)
     return loss, int((shifted != IGNORE_INDEX).sum())
 
 
@@ -128,22 +139,20 @@ def generate(model: MultimodalModel, conv: Conversation,
     rest of the prompt. Otherwise the whole prompt is prefilled and its head
     becomes the entry. A prompt without an image has an empty head, as does one
     with the image first: it neither uses nor replaces the entry.
+
+    `max_new_tokens` is checked first, under its own name. After that the image
+    and the prompt's placeholder must come together, and every error raised
+    names the prompt.
     """
     require_int("max_new_tokens", max_new_tokens, 0)
-    tpl = model.template()
-    ids, image_idx = tokenize_prompt(conv, tpl, _TOKENIZER)
-    if (image_idx is not None) and image is None:
-        raise ValidationError("prompt contains an image placeholder but no image was given")
-    if (image_idx is None) and image is not None:
-        raise ValidationError("an image was given but the prompt has no placeholder")
-
     llm = model.llm
     max_pos = llm.config.max_positions
-    with no_grad():
-        image_embeds = model.encode_image(image) if image is not None else None
+    with _naming(f"prompt '{conv.id}'"), no_grad():
+        ids, image_idx = tokenize_prompt(conv, model.template(), _TOKENIZER)
+        image_embeds = _encode_paired(model, image, image_idx)
         need = len(ids) if image_embeds is None else len(ids) - 1 + image_embeds.shape[0]
         if need > max_pos:
-            raise ValidationError(f"prompt needs {need} positions, model allows {max_pos}")
+            raise ValidationError(f"needs {need} positions, model allows {max_pos}")
         head = ids[:0 if image_idx is None else image_idx]
         cache = llm.head_cache(head)
         start = cache.length
@@ -173,10 +182,10 @@ _MODEL_CONFIG_KEYS = ("vision", "mof", "llm", "connector", "template", "image_as
 
 @contextmanager
 def _naming(key: str):
-    """Prefix any ValidationError raised inside with the config key it is about."""
+    """Prefix any VlmkitError raised inside with the key, sample or prompt it is about."""
     try:
         yield
-    except ValidationError as exc:
+    except VlmkitError as exc:
         raise type(exc)(f"{key}: {exc}") from None
 
 
@@ -253,24 +262,19 @@ def resolve_model_config(cfg: dict) -> dict:
     return out
 
 
+# (config key, registry kind, init stream) of each part `build_model` creates.
+_PARTS = (("vision", "vision", "vision"), ("mof", "vision", "vision_b"), ("llm", "llm", "llm"),
+          ("connector", "connector", "connector"))
+
+
 def build_model(model_cfg: dict, seed: int) -> MultimodalModel:
     """Construct a model from configuration; init streams derive from `seed`."""
     resolved = resolve_model_config(model_cfg)
     root = Rng(seed).split("init")
-
-    vision = registry.create(
-        "vision", resolved["vision"]["name"],
-        resolved["vision"]["config"], root.split("vision"))
-    if "mof" in resolved:
-        second = registry.create(
-            "vision", resolved["mof"]["name"],
-            resolved["mof"]["config"], root.split("vision_b"))
-        vision = DualTower(vision, second)
-
-    llm = registry.create(
-        "llm", resolved["llm"]["name"], resolved["llm"]["config"], root.split("llm"))
-    connector = registry.create(
-        "connector", resolved["connector"]["name"],
-        resolved["connector"]["config"], root.split("connector"))
-
-    return MultimodalModel(vision, connector, llm, resolved)
+    parts = {key: registry.create(kind, resolved[key]["name"], resolved[key]["config"],
+                                  root.split(stream))
+             for key, kind, stream in _PARTS if key in resolved}
+    vision = parts["vision"]
+    if "mof" in parts:
+        vision = DualTower(vision, parts["mof"])
+    return MultimodalModel(vision, parts["connector"], parts["llm"], resolved)

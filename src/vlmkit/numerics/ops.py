@@ -18,18 +18,30 @@ rules:
 
 from __future__ import annotations
 
+from numbers import Real
 from typing import Sequence
 
 import numpy as np
 from scipy.special import erf
 
-from ..errors import DimensionError, ValidationError
+from ..errors import DimensionError, ValidationError, require_int
 from .tensor import Tensor, record
 
 IGNORE_INDEX = -100
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+
+
+def _integer_indices(op: str, what: str, values) -> np.ndarray:
+    """`values` as an array of the caller's integer dtype; a non-empty array of
+    any other dtype (float, bool) is a ValidationError naming `op`."""
+    values = np.asarray(values)
+    if values.dtype.kind not in "iu":
+        if values.size:
+            raise ValidationError(f"{op} {what} must be integers, got dtype {values.dtype}")
+        values = values.astype(np.intp)
+    return values
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -73,6 +85,10 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def scale(a: Tensor, s: float) -> Tensor:
+    """`a` times the real number `s` (a bool is not one)."""
+    # An exact float skips the ABC check, which costs ~10x more.
+    if type(s) is not float and (isinstance(s, bool) or not isinstance(s, Real)):
+        raise ValidationError(f"scale factor must be a real number, got {s!r}")
     s = float(s)
     out = a.data * np.float32(s)
 
@@ -212,12 +228,13 @@ def rms_norm(x: Tensor, gain: Tensor, eps: float = 1e-5) -> Tensor:
 def masked_cross_entropy(logits: Tensor, labels) -> Tensor:
     """Mean negative log-likelihood over positions whose label is not IGNORE_INDEX.
 
-    `labels` is a plain integer sequence of length T for logits [T, V].
-    Returns a scalar 0 with zero gradients when every position is ignored.
+    `labels` is an integer sequence of length T for logits [T, V]; float or
+    bool labels are rejected, not truncated. Returns a scalar 0 with zero
+    gradients when every position is ignored.
     """
     if logits.ndim != 2:
         raise DimensionError(f"masked_cross_entropy expects [T, V] logits, got {logits.shape}")
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = _integer_indices("masked_cross_entropy", "labels", labels)
     t, v = logits.shape
     if labels.shape != (t,):
         raise DimensionError(f"labels length {labels.shape} does not match logits rows {t}")
@@ -301,6 +318,10 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 
 def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
+    """`length` entries of `x` from `start` along `axis`; each of the three is an integer."""
+    axis = require_int("narrow axis", axis)
+    start = require_int("narrow start", start)
+    length = require_int("narrow length", length)
     if not (-x.ndim <= axis < x.ndim and 0 <= start and 0 <= length
             and start + length <= x.shape[axis]):
         raise DimensionError(
@@ -319,8 +340,12 @@ def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
 
 
 def embedding(table: Tensor, ids) -> Tensor:
-    """Gather rows of `table` by integer index; scatter-add on backward."""
-    ids = np.asarray(ids, dtype=np.int64)
+    """Gather rows of `table` by integer index; scatter-add on backward.
+
+    `ids` is a 1-d integer array in [0, rows), indexed in its own dtype; float
+    or bool ids are rejected, not truncated.
+    """
+    ids = _integer_indices("embedding", "ids", ids)
     if ids.ndim != 1:
         raise DimensionError(f"embedding ids must be 1-d, got shape {ids.shape}")
     if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):

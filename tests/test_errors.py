@@ -14,7 +14,8 @@ from vlmkit.model import (LanguageModel, LLMConfig, MultiHeadAttention, VisionTo
                           build_model, compose_multimodal)
 from vlmkit.model.layers import interleave_rows
 from vlmkit.numerics import (Rng, Tensor, backward, concat, embedding, grad_check, layer_norm,
-                             masked_cross_entropy, matmul, narrow, reshape, transpose, tsum)
+                             masked_cross_entropy, matmul, narrow, reshape, scale, transpose,
+                             tsum)
 from vlmkit.registry import registry
 
 
@@ -28,9 +29,12 @@ def _non_array_dataset(tmp):
     return load_dataset(str(path))
 
 
+def _llm():
+    return LanguageModel(LLMConfig(width=8, depth=0, heads=2, max_positions=8), Rng(0))
+
+
 def _image_index_past_the_end(tmp):
-    llm = LanguageModel(LLMConfig(width=8, depth=0, heads=2, max_positions=8), Rng(0))
-    return compose_multimodal(np.array([1, 2]), None, _t(2, 8), 2, llm)
+    return compose_multimodal(np.array([1, 2]), None, _t(2, 8), 2, _llm())
 
 
 ERRORS = [
@@ -57,6 +61,9 @@ ERRORS = [
                  id="interleave"),
     # composition
     pytest.param(ValidationError, _image_index_past_the_end, id="compose-index"),
+    pytest.param(ValidationError,
+                 lambda tmp: compose_multimodal(np.array([1, 2]), None, _t(2, 8), 0.5, _llm()),
+                 id="compose-index-float"),
     pytest.param(ValidationError,
                  lambda tmp: build_model({"connector": {"name": "linear", "config": {"d_m": 32}}},
                                          0),
@@ -89,6 +96,18 @@ ERRORS = [
     pytest.param(DimensionError, lambda tmp: narrow(_t(3, 2), 0, -1, 1), id="narrow-start"),
     pytest.param(DimensionError, lambda tmp: reshape(_t(2, 3), (4,)), id="reshape-size"),
     pytest.param(DimensionError, lambda tmp: transpose(_t(2, 3), (0, 0)), id="transpose-axes"),
+    pytest.param(ValidationError, lambda tmp: embedding(_t(4, 2), [1.7]), id="embedding-float"),
+    pytest.param(ValidationError, lambda tmp: embedding(_t(4, 2), [True, False]),
+                 id="embedding-bool"),
+    pytest.param(ValidationError, lambda tmp: masked_cross_entropy(_t(3, 5), [0.0, 1.5, 2.0]),
+                 id="cross_entropy-float-labels"),
+    pytest.param(ValidationError, lambda tmp: narrow(_t(3, 2), 0.0, 0, 1), id="narrow-axis-float"),
+    pytest.param(ValidationError, lambda tmp: narrow(_t(3, 2), 0, 0.5, 1),
+                 id="narrow-start-float"),
+    pytest.param(ValidationError, lambda tmp: narrow(_t(3, 2), 0, 0, True),
+                 id="narrow-length-bool"),
+    pytest.param(ValidationError, lambda tmp: scale(_t(2), "a"), id="scale-str"),
+    pytest.param(ValidationError, lambda tmp: scale(_t(2), True), id="scale-bool"),
 ]
 
 
@@ -97,3 +116,26 @@ def test_bad_input_raises_its_error(error, call, tmp_path):
     with pytest.raises(error) as ei:
         call(tmp_path)
     assert type(ei.value) is error, repr(ei.value)
+
+
+@pytest.mark.parametrize("call, prefix", [
+    pytest.param(lambda: embedding(_t(4, 2), [1.7]), "embedding ids must be integers",
+                 id="embedding"),
+    pytest.param(lambda: masked_cross_entropy(_t(3, 5), [0.0, 1.5, 2.0]),
+                 "masked_cross_entropy labels must be integers", id="cross_entropy"),
+    pytest.param(lambda: narrow(_t(3, 2), 0, 0.5, 1), "narrow start must be an integer",
+                 id="narrow"),
+    pytest.param(lambda: scale(_t(2), "a"), "scale factor must be a real number", id="scale"),
+])
+def test_index_and_factor_checks_name_the_op(call, prefix):
+    with pytest.raises(ValidationError) as ei:
+        call()
+    assert str(ei.value).startswith(prefix), str(ei.value)
+
+
+def test_integer_ops_keep_the_callers_integer_dtype():
+    table = Tensor(np.arange(8, dtype=np.float32).reshape(4, 2))
+    for dtype in (np.int32, np.uint8):
+        np.testing.assert_array_equal(embedding(table, np.array([3, 0], dtype=dtype)).data,
+                                      table.data[[3, 0]])
+    assert embedding(table, []).shape == (0, 2)

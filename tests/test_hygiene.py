@@ -1,17 +1,20 @@
 """Source hygiene checks that need no linter.
 
 Every module under `src/vlmkit` (package `__init__` files aside, since they
-import to re-export) uses each name it imports, and every name a public
-package lists in `__all__` exists.
+import to re-export) uses each name it imports, every name a public
+package lists in `__all__` exists, and every function, class and method the
+package defines is read somewhere in `src/`, `tests/` or `bench/`.
 """
 
 import ast
 import importlib
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "vlmkit"
+REPO = Path(__file__).resolve().parents[1]
+PACKAGE = REPO / "src" / "vlmkit"
 MODULES = sorted(p for p in PACKAGE.rglob("*.py") if p.name != "__init__.py")
 
 
@@ -63,3 +66,32 @@ def test_all_entries_resolve(package):
     missing = [name for name in module.__all__ if not hasattr(module, name)]
     assert not missing, f"{package}.__all__ lists missing names: {', '.join(missing)}"
     assert len(set(module.__all__)) == len(module.__all__), f"{package}.__all__ repeats a name"
+
+
+def _defined(tree):
+    """(name, line) of each top-level function and class, and of each method."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.append((node.name, node.lineno))
+        if isinstance(node, ast.ClassDef):
+            out += [(n.name, n.lineno) for n in node.body if isinstance(n, ast.FunctionDef)]
+    return [(name, line) for name, line in out
+            if not (name.startswith("__") and name.endswith("__"))]
+
+
+def test_every_definition_is_read_somewhere():
+    """A name counts as read where code loads it, bare or as an attribute; its
+    own `def`/`class` line, an import or a mention in a string does not count."""
+    reads = Counter()
+    for path in (p for d in ("src", "tests", "bench") for p in (REPO / d).rglob("*.py")):
+        for n in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                reads[n.id] += 1
+            elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                reads[n.attr] += 1
+    unread = [f"{path.relative_to(PACKAGE).as_posix()}:{line} {name}"
+              for path in sorted(PACKAGE.rglob("*.py"))
+              for name, line in _defined(ast.parse(path.read_text(encoding="utf-8")))
+              if not reads[name]]
+    assert not unread, f"defined but never read: {', '.join(unread)}"

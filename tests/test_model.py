@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from vlmkit.data import (BUILTIN_TEMPLATES, ByteTokenizer, Conversation, Turn, collate,
-                         make_sample, preprocess_image, synth_vqa_generate, tokenize_prompt)
+                         make_sample, preprocess_image, synth_vqa_generate, tokenize_and_label,
+                         tokenize_prompt)
 from vlmkit.data.tokenizer import EOS_ID
 from vlmkit.errors import DimensionError, RegistryError, ValidationError
 from vlmkit.model import (
@@ -25,8 +26,9 @@ from vlmkit.model import (
     multimodal,
     sequence_loss,
 )
-from vlmkit.numerics import (AdamW, Rng, Tensor, backward, concat, masked_cross_entropy, narrow,
-                             no_grad, scale)
+from vlmkit.model.layers import interleave_rows
+from vlmkit.numerics import (AdamW, Rng, Tensor, backward, concat, masked_cross_entropy, mul,
+                             narrow, no_grad, reshape, scale, tsum)
 from vlmkit.numerics.ops import IGNORE_INDEX
 from vlmkit.registry import registry
 
@@ -184,6 +186,23 @@ def test_mof_same_tower_duplicates_rows():
     a = VisionTower(cfg, Rng(1))
     out = DualTower(a, a)(random_image(seed=5)).data
     np.testing.assert_array_equal(out[0::2], out[1::2])
+
+
+def test_interleave_rows_is_byte_equal_to_the_reshape_concat_reshape_form():
+    rng = np.random.default_rng(6)
+    a, b, g = (rng.standard_normal(shape).astype(np.float32) for shape in ((5, 4), (5, 4), (10, 4)))
+
+    def run(interleave):
+        ta, tb = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
+        out = interleave(ta, tb)
+        backward(tsum(mul(out, Tensor(g))))
+        return out.data.tobytes(), ta.grad.tobytes(), tb.grad.tobytes()
+
+    def three_reshapes(ta, tb):
+        stacked = concat([reshape(ta, (5, 1, 4)), reshape(tb, (5, 1, 4))], axis=1)
+        return reshape(stacked, (10, 4))
+
+    assert run(interleave_rows) == run(three_reshapes)
 
 
 def test_mof_mismatched_configs_rejected():
@@ -406,8 +425,30 @@ def test_missing_image_for_placeholder():
     model = build_model(tiny_model_cfg(), seed=SEED)
     sm = _sample_for(model)
     sm.image = None
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError) as ei:
         sequence_loss(model, sm)
+    assert str(ei.value) == "sample 's': has an image placeholder but no image"
+
+
+def test_sequence_loss_names_the_sample_of_an_image_without_placeholder():
+    model = build_model(tiny_model_cfg(), seed=SEED)
+    conv = Conversation(id="t", turns=[Turn("human", "Hi"), Turn("assistant", "ok")])
+    sm = tokenize_and_label(conv, BUILTIN_TEMPLATES["llava_v1"], ByteTokenizer())
+    sm.image = random_image()
+    with pytest.raises(ValidationError) as ei:
+        sequence_loss(model, sm)
+    assert type(ei.value) is ValidationError
+    assert str(ei.value) == "sample 't': has an image but no image placeholder"
+
+
+def test_sequence_loss_names_the_sample_of_a_wrong_size_image():
+    model = build_model(tiny_model_cfg(), seed=SEED)
+    sm = _sample_for(model)
+    sm.image = random_image(side=8)
+    with pytest.raises(DimensionError) as ei:
+        sequence_loss(model, sm)
+    assert type(ei.value) is DimensionError
+    assert str(ei.value).startswith("sample 's': vision tower expects image [3, 16, 16]")
 
 
 # -- generation -------------------------------------------------------------------
@@ -446,11 +487,13 @@ def test_generate_argmax_invariant_to_logit_scaling():
 
 def test_generate_image_placeholder_consistency():
     model = build_model(tiny_model_cfg(), seed=SEED)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError) as ei:
         generate(model, _question_conv(), None)
+    assert str(ei.value) == "prompt 'g': has an image placeholder but no image"
     plain = Conversation(id="p", turns=[Turn("human", "hello")])
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError) as ei:
         generate(model, plain, random_image())
+    assert str(ei.value) == "prompt 'p': has an image but no image placeholder"
 
 
 def test_generate_prompt_too_long():
@@ -461,7 +504,7 @@ def test_generate_prompt_too_long():
     assert image_idx is None
     with pytest.raises(ValidationError) as ei:
         generate(model, conv)
-    assert f"needs {len(ids)} positions" in str(ei.value)
+    assert str(ei.value).startswith(f"prompt 'long': needs {len(ids)} positions")
 
 
 # -- KV-cached decoding against the uncached path -----------------------------------
@@ -897,6 +940,11 @@ def test_config_construction_checks_fields(config_cls, field, value):
     with pytest.raises(ValidationError) as ei:
         config_cls(**{field: value})
     assert f"{config_cls.__name__}.{field} must be an integer" in str(ei.value)
+
+
+def test_config_fields_take_a_numpy_integer_as_the_int():
+    width = VisionTowerConfig(width=np.int64(32), heads=2).width
+    assert type(width) is int and width == 32
 
 
 def test_build_model_deterministic_from_seed():
