@@ -60,13 +60,19 @@ def compose_multimodal(ids: np.ndarray, labels: Optional[np.ndarray],
 
     Returns (embeds [T', d], labels [T'] or None, positions [T']). Labels stay
     aligned with their input positions (`sequence_loss` shifts them); positions
-    covering the image carry IGNORE_INDEX. Ids, labels and the index keep the
-    caller's integer types; none is cast, so a float is rejected, not truncated.
+    covering the image carry IGNORE_INDEX. An image and a placeholder index
+    come together or not at all. Ids, labels and the index keep the caller's
+    integer types; none is cast, so a float is rejected, not truncated. Labels
+    must be signed, since no unsigned dtype holds IGNORE_INDEX.
     """
     ids = np.asarray(ids)
-    if (image_embeds is None) != (image_token_index is None):
-        raise ValidationError("image embeddings and placeholder index must come together")
+    if image_embeds is None and image_token_index is not None:
+        raise ValidationError("has an image placeholder but no image")
+    if image_embeds is not None and image_token_index is None:
+        raise ValidationError("has an image but no image placeholder")
     labels = None if labels is None else np.asarray(labels)
+    if labels is not None and labels.dtype.kind == "u":
+        raise ValidationError(f"labels must be signed integers, got dtype {labels.dtype}")
     if image_embeds is None:
         return llm.embed_ids(ids), labels, np.arange(len(ids))
 
@@ -92,25 +98,14 @@ def compose_multimodal(ids: np.ndarray, labels: Optional[np.ndarray],
     return embeds, out_labels, np.arange(len(ids) - 1 + m)
 
 
-def _encode_paired(model: MultimodalModel, image: Optional[np.ndarray],
-                   image_idx: Optional[int]) -> Optional[Tensor]:
-    """The image's connector tokens, or None without an image; an image and a
-    placeholder in the text come together or not at all."""
-    if image is None and image_idx is not None:
-        raise ValidationError("has an image placeholder but no image")
-    if image is not None and image_idx is None:
-        raise ValidationError("has an image but no image placeholder")
-    return None if image is None else model.encode_image(image)
-
-
 def sequence_loss(model: MultimodalModel, sample: TokenizedSample) -> Tuple[Tensor, int]:
     """Next-token loss for one sample; returns (loss, supervised token count).
 
-    The sample's image and placeholder must come together. Every error raised
-    inside names the sample.
+    The sample's image and placeholder must come together, as
+    `compose_multimodal` checks. Every error raised inside names the sample.
     """
     with _naming(f"sample '{sample.conv_id}'"):
-        image_embeds = _encode_paired(model, sample.image, sample.image_token_index)
+        image_embeds = None if sample.image is None else model.encode_image(sample.image)
         embeds, labels2, _ = compose_multimodal(
             sample.input_ids, sample.labels, image_embeds, sample.image_token_index, model.llm)
         logits = model.llm.forward_embeds(embeds)
@@ -141,23 +136,23 @@ def generate(model: MultimodalModel, conv: Conversation,
     with the image first: it neither uses nor replaces the entry.
 
     `max_new_tokens` is checked first, under its own name. After that the image
-    and the prompt's placeholder must come together, and every error raised
-    names the prompt.
+    and the prompt's placeholder must come together, as `compose_multimodal`
+    checks, and every error raised names the prompt.
     """
     require_int("max_new_tokens", max_new_tokens, 0)
     llm = model.llm
     max_pos = llm.config.max_positions
     with _naming(f"prompt '{conv.id}'"), no_grad():
         ids, image_idx = tokenize_prompt(conv, model.template(), _TOKENIZER)
-        image_embeds = _encode_paired(model, image, image_idx)
-        need = len(ids) if image_embeds is None else len(ids) - 1 + image_embeds.shape[0]
-        if need > max_pos:
-            raise ValidationError(f"needs {need} positions, model allows {max_pos}")
+        image_embeds = None if image is None else model.encode_image(image)
         head = ids[:0 if image_idx is None else image_idx]
         cache = llm.head_cache(head)
         start = cache.length
         embeds, _, _ = compose_multimodal(
             ids[start:], None, image_embeds, None if image_idx is None else image_idx - start, llm)
+        need = start + embeds.shape[0]
+        if need > max_pos:
+            raise ValidationError(f"needs {need} positions, model allows {max_pos}")
         generated: List[int] = []
         while len(generated) < max_new_tokens:
             logits = llm.forward(embeds, cache)
@@ -262,19 +257,19 @@ def resolve_model_config(cfg: dict) -> dict:
     return out
 
 
-# (config key, registry kind, init stream) of each part `build_model` creates.
-_PARTS = (("vision", "vision", "vision"), ("mof", "vision", "vision_b"), ("llm", "llm", "llm"),
-          ("connector", "connector", "connector"))
-
-
 def build_model(model_cfg: dict, seed: int) -> MultimodalModel:
-    """Construct a model from configuration; init streams derive from `seed`."""
+    """Construct a model from configuration; init streams derive from `seed`.
+
+    Each part is created from its (config key, registry kind, init stream);
+    a MoF tower joins the vision tower in a `DualTower`.
+    """
     resolved = resolve_model_config(model_cfg)
     root = Rng(seed).split("init")
+    streams = (("vision", "vision", "vision"), ("mof", "vision", "vision_b"),
+               ("llm", "llm", "llm"), ("connector", "connector", "connector"))
     parts = {key: registry.create(kind, resolved[key]["name"], resolved[key]["config"],
                                   root.split(stream))
-             for key, kind, stream in _PARTS if key in resolved}
-    vision = parts["vision"]
+             for key, kind, stream in streams if key in resolved}
     if "mof" in parts:
-        vision = DualTower(vision, parts["mof"])
-    return MultimodalModel(vision, parts["connector"], parts["llm"], resolved)
+        parts["vision"] = DualTower(parts["vision"], parts.pop("mof"))
+    return MultimodalModel(config=resolved, **parts)

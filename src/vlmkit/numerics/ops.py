@@ -86,8 +86,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 def scale(a: Tensor, s: float) -> Tensor:
     """`a` times the real number `s` (a bool is not one)."""
-    # An exact float skips the ABC check, which costs ~10x more.
-    if type(s) is not float and (isinstance(s, bool) or not isinstance(s, Real)):
+    if isinstance(s, bool) or not isinstance(s, Real):
         raise ValidationError(f"scale factor must be a real number, got {s!r}")
     s = float(s)
     out = a.data * np.float32(s)

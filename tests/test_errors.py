@@ -108,6 +108,10 @@ ERRORS = [
                  id="narrow-length-bool"),
     pytest.param(ValidationError, lambda tmp: scale(_t(2), "a"), id="scale-str"),
     pytest.param(ValidationError, lambda tmp: scale(_t(2), True), id="scale-bool"),
+    pytest.param(ValidationError,
+                 lambda tmp: compose_multimodal(np.array([1, 2]), np.array([0, 1], np.uint64),
+                                                None, None, _llm()),
+                 id="compose-labels-unsigned"),
 ]
 
 

@@ -292,8 +292,11 @@ def test_compose_preserves_supervised_count():
 
 def test_compose_rejects_mismatched_image_args():
     llm = _toy_llm()
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="^has an image placeholder but no image$"):
         compose_multimodal(np.arange(4), None, None, 2, llm)
+    img = Tensor(np.zeros((5, 32), dtype=np.float32))
+    with pytest.raises(ValidationError, match="^has an image but no image placeholder$"):
+        compose_multimodal(np.arange(4), None, img, None, llm)
 
 
 def test_llm_single_token_logits_shape():
@@ -449,6 +452,15 @@ def test_sequence_loss_names_the_sample_of_a_wrong_size_image():
         sequence_loss(model, sm)
     assert type(ei.value) is DimensionError
     assert str(ei.value).startswith("sample 's': vision tower expects image [3, 16, 16]")
+
+
+def test_sequence_loss_names_the_sample_of_unsigned_labels():
+    model = build_model(tiny_model_cfg(), seed=SEED)
+    sm = _sample_for(model)
+    sm.labels = np.zeros(len(sm.input_ids), dtype=np.uint64)
+    with pytest.raises(ValidationError) as ei:
+        sequence_loss(model, sm)
+    assert str(ei.value) == "sample 's': labels must be signed integers, got dtype uint64"
 
 
 # -- generation -------------------------------------------------------------------
