@@ -1,8 +1,9 @@
 """Differentiable operations on tensors.
 
-Forward values are float32; anything that reduces (sums, statistics,
-log-sum-exp) runs in float64 internally and casts back. Backward rules
-return one gradient per input, or None for inputs that need none.
+Forward values are float32, and so is every elementwise op, inside and
+out; only what reduces (sums, statistics, log-sum-exp) runs in float64
+internally and casts back. Backward rules return one gradient per input,
+or None for inputs that need none.
 
 At the sizes this library runs, an op's fixed cost per call (Python calls,
 numpy wrappers) weighs more than its arithmetic, so the bodies keep to two
@@ -22,15 +23,24 @@ from numbers import Real
 from typing import Sequence
 
 import numpy as np
-from scipy.special import erf
 
 from ..errors import DimensionError, ValidationError, require_int
 from .tensor import Tensor, record
 
 IGNORE_INDEX = -100
 
-_INV_SQRT2 = 1.0 / np.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+# gelu: Abramowitz & Stegun 7.1.26, erfc(z) ~ poly(t) * exp(-z^2) with
+# t = 1/(1 + p*z), z >= 0. For z = |x|/sqrt(2) this is
+# Phi(-|x|) = poly(t)/2 * exp(-x^2/2) with t = R/(R + |x|), R = sqrt(2)/p.
+# _GELU_POLY holds poly's coefficients halved, highest degree first;
+# poly has no constant term.
+_GELU_R = np.float32(np.sqrt(2.0) / 0.3275911)
+_GELU_POLY = tuple(np.float32(a / 2) for a in (1.061405429, -1.453152027, 1.421413741,
+                                               -0.284496736, 0.254829592))
+# exp(-x^2/2) is 0 in float32 beyond |x| = 14.4, so clamping |x| at 16
+# before squaring changes no value and keeps x*x from overflowing.
+_GELU_CLAMP = np.float32(16.0)
+_INV_SQRT_2PI = np.float32(1.0 / np.sqrt(2.0 * np.pi))
 
 
 def _integer_indices(op: str, what: str, values) -> np.ndarray:
@@ -98,14 +108,42 @@ def scale(a: Tensor, s: float) -> Tensor:
 
 
 def gelu(x: Tensor) -> Tensor:
-    """Exact-erf GELU: 0.5 * x * (1 + erf(x / sqrt(2)))."""
-    xd = x.data.astype(np.float64)
-    phi_big = 0.5 * (1.0 + erf(xd * _INV_SQRT2))
-    out = (xd * phi_big).astype(np.float32)
+    """Exact-erf GELU, x * Phi(x) with Phi(x) = (1 + erf(x / sqrt(2))) / 2.
+
+    Phi comes from Abramowitz & Stegun 7.1.26 (|erf error| <= 1.5e-7),
+    evaluated in float32 as h = Phi(-|x|) and taken as h or 1 - h, so the
+    negative tail keeps its relative accuracy. Output and gradient are
+    within 2e-6 of x * Phi(x) and Phi(x) + x * phi(x) computed with
+    math.erf, on [-10, 10]; beyond it, gelu(x) is x, or under 1e-22 in
+    magnitude. The forward also forms the derivative from the same Phi and
+    exp(-x^2/2), and the backward multiplies by it.
+    """
+    xd = x.data
+    a = np.minimum(np.abs(xd), _GELU_CLAMP)
+    t = a + _GELU_R
+    np.divide(_GELU_R, t, out=t)
+    np.square(a, out=a)
+    a *= np.float32(-0.5)
+    e = np.exp(a, out=a)
+    h = t * _GELU_POLY[0]
+    for c in _GELU_POLY[1:]:
+        h += c
+        h *= t
+    h *= e
+    # Phi = (1 + s)/2 - s*h with s = sign(x): 1 - h, h, or 1/2 at x = 0.
+    s = np.sign(xd)
+    h *= s
+    cdf = s * np.float32(0.5)
+    cdf += np.float32(0.5)
+    cdf -= h
+    out = xd * cdf
+    # d/dx x*Phi(x) = Phi(x) + x*phi(x), phi(x) = exp(-x^2/2) / sqrt(2 pi).
+    slope = np.multiply(e, _INV_SQRT_2PI, out=e)
+    slope *= xd
+    slope += cdf
 
     def bw(g):
-        dens = np.exp(-0.5 * xd * xd) * _INV_SQRT_2PI
-        return ((g * (phi_big + xd * dens)).astype(np.float32),)
+        return (g * slope,)
 
     return record("gelu", out, (x,), bw)
 

@@ -3,11 +3,15 @@
 Every module under `src/vlmkit` (package `__init__` files aside, since they
 import to re-export) uses each name it imports, every name a public
 package lists in `__all__` exists, and every function, class and method the
-package defines is read somewhere in `src/`, `tests/` or `bench/`.
+package defines is read somewhere in `src/`, `tests/` or `bench/`. The
+package imports and trains without scipy, which it does not depend on.
 """
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -95,3 +99,31 @@ def test_every_definition_is_read_somewhere():
               for name, line in _defined(ast.parse(path.read_text(encoding="utf-8")))
               if not reads[name]]
     assert not unread, f"defined but never read: {', '.join(unread)}"
+
+
+WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None     # any import of scipy now raises ImportError
+import numpy as np
+from vlmkit.data import BUILTIN_TEMPLATES, ByteTokenizer, Conversation, Turn, tokenize_and_label
+from vlmkit.model import build_model, sequence_loss
+
+model = build_model({}, seed=3)
+conv = Conversation(id="s", image_path="x.ppm", turns=[
+    Turn("human", "<image>\\nWhat color is the square?"), Turn("assistant", "red")])
+sample = tokenize_and_label(conv, BUILTIN_TEMPLATES["llava_v1"], ByteTokenizer())
+sample.image = np.zeros((3, model.image_size, model.image_size), dtype=np.float32)
+loss, _ = sequence_loss(model, sample)
+loss.backward()
+print(loss.item())
+"""
+
+
+def test_imports_and_trains_without_scipy():
+    src = str(PACKAGE.parent)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", WITHOUT_SCIPY], env=env, capture_output=True,
+                         text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert float(out.stdout) > 0, out.stdout

@@ -6,6 +6,7 @@ import os
 import platform
 import subprocess
 import sys
+import warnings
 import weakref
 from pathlib import Path
 
@@ -101,6 +102,45 @@ def test_gelu_one_matches_erf_oracle():
     expected = 0.5 * (1.0 + math.erf(1.0 / math.sqrt(2.0)))
     assert abs(gelu(Tensor([1.0])).data[0] - expected) < 1e-5
     assert abs(expected - 0.841345) < 1e-5
+
+
+def _gelu_erf_oracle(x):
+    """x * Phi(x) and its derivative Phi(x) + x * phi(x), in float64 from math.erf."""
+    cdf = np.array([0.5 * (1.0 + math.erf(v / math.sqrt(2.0))) for v in x])
+    pdf = np.array([math.exp(-0.5 * v * v) for v in x]) / math.sqrt(2.0 * math.pi)
+    return x * cdf, cdf + x * pdf
+
+
+def _gelu_and_grad(values):
+    x = Tensor(np.asarray(values, dtype=np.float32), requires_grad=True)
+    out = gelu(x)
+    out.sum().backward()
+    return out.data, x.grad
+
+
+def test_gelu_matches_erf_oracle_on_a_dense_grid():
+    # 20,001 points on [-10, 10], the sign branch at +-0, the clamp at +-16
+    # and values either side of it, and tiny inputs.
+    special = [0.0, -0.0, 1e-30, -1e-30, 16.0, -16.0, 15.9, -15.9, 16.1, -16.1]
+    x = np.concatenate([np.linspace(-10.0, 10.0, 20001), special]).astype(np.float32)
+    out, grad = _gelu_and_grad(x)
+    assert out.dtype == np.float32 and grad.dtype == np.float32
+    want_out, want_grad = _gelu_erf_oracle(x.astype(np.float64))
+    assert np.abs(out - want_out).max() <= 2e-6
+    assert np.abs(grad - want_grad).max() <= 2e-6
+
+
+def test_gelu_finite_extremes_raise_no_warning():
+    big = [1e20, 3.4e38]
+    tiny = [1e-45, -1e-45, -0.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out, grad = _gelu_and_grad(big + [-v for v in big] + tiny)
+    np.testing.assert_array_equal(out[:2], np.float32(big))
+    np.testing.assert_array_equal(out[2:4], [0.0, 0.0])
+    np.testing.assert_array_equal(grad[:4], [1.0, 1.0, 0.0, 0.0])
+    assert np.all(np.abs(out[4:]) <= np.abs(np.float32(tiny)))
+    np.testing.assert_allclose(grad[4:], [0.5, 0.5, 0.5], atol=1e-6)
 
 
 def test_add_simple():
