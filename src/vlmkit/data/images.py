@@ -2,9 +2,18 @@
 
 PPM is the only codec: dependency-free and bit-exact. Loaded images are
 channel-first float32 [3, H, W] with values byte/255 in [0, 1].
+
+A header is the magic `P6`, then width, height and maxval, each a decimal
+integer (`-?[0-9]+`) after a gap of one or more whitespace bytes and `#`
+comments, then exactly one whitespace byte before the pixel data. A comment
+runs through the next newline and may follow a field directly. Whitespace
+is space, tab, CR, LF, VT or FF. Width and height must be positive and
+maxval 255.
 """
 
 from __future__ import annotations
+
+import re
 
 import numpy as np
 
@@ -14,6 +23,10 @@ from ..errors import ValidationError, require_int
 PIXEL_MEAN = np.full((3, 1, 1), 0.5, dtype=np.float32)
 PIXEL_STD = np.full((3, 1, 1), 0.5, dtype=np.float32)
 
+# Whitespace and '#' comments, each comment running through its newline.
+_PPM_GAP = rb"(?:\s|#[^\n]*\n)+"
+_PPM_HEADER = re.compile(rb"P6" + (_PPM_GAP + rb"(-?[0-9]+)") * 3 + rb"\s")
+
 
 def load_ppm(path: str) -> np.ndarray:
     try:
@@ -21,36 +34,17 @@ def load_ppm(path: str) -> np.ndarray:
             blob = fh.read()
     except OSError as exc:
         raise ValidationError(f"{path}: cannot read ({exc.strerror})") from None
-    if not blob.startswith(b"P6"):
-        raise ValidationError(f"{path}: not a binary PPM (P6) file")
-
-    # Header: magic, width, height, maxval, each separated by whitespace;
-    # '#' starts a comment running to end of line.
-    pos, fields = 2, []
-    while len(fields) < 3:
-        while pos < len(blob) and blob[pos:pos + 1].isspace():
-            pos += 1
-        if pos < len(blob) and blob[pos:pos + 1] == b"#":
-            while pos < len(blob) and blob[pos] != 0x0A:
-                pos += 1
-            continue
-        start = pos
-        while pos < len(blob) and not blob[pos:pos + 1].isspace():
-            pos += 1
-        if start == pos:
-            raise ValidationError(f"{path}: truncated PPM header")
-        fields.append(blob[start:pos])
-    pos += 1  # single whitespace byte after maxval
-
-    try:
-        width, height, maxval = (int(f) for f in fields)
-    except ValueError:
-        raise ValidationError(f"{path}: malformed PPM header fields {fields}") from None
+    header = _PPM_HEADER.match(blob)
+    if header is None:
+        raise ValidationError(f"{path}: not a binary PPM header ('P6', width, height, "
+                              "maxval, one whitespace byte)")
+    width, height, maxval = (int(f) for f in header.groups())
     for name, value in (("width", width), ("height", height)):
         if value <= 0:
             raise ValidationError(f"{path}: PPM {name} must be positive, got {value}")
     if maxval != 255:
         raise ValidationError(f"{path}: PPM maxval must be 255, got {maxval}")
+    pos = header.end()
     need = width * height * 3
     raw = blob[pos:pos + need]
     if len(raw) != need:

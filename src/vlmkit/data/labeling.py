@@ -98,13 +98,18 @@ class Batch:
     truncated: int = 0
 
 
-def _truncation_cut(ids: np.ndarray, limit: int) -> int:
-    """Rightmost cut <= limit that does not split a multi-byte character."""
-    cut = limit
-    if cut < len(ids) and 0x80 <= int(ids[cut]) <= 0xBF:
-        while cut > 0 and 0x80 <= int(ids[cut]) <= 0xBF:
-            cut -= 1
-        # ids[cut] now leads the split character; drop it as well.
+def _kept_length(sm: TokenizedSample, pad_to: int) -> int:
+    """Length of `sm` cut to at most `pad_to`: the rightmost cut that does not
+    split a multi-byte character or drop the image placeholder."""
+    ids, cut = sm.input_ids, pad_to
+    if len(ids) <= cut:
+        return len(ids)
+    while cut > 0 and 0x80 <= int(ids[cut]) <= 0xBF:
+        cut -= 1
+    # ids[cut] now leads any split character; ids[:cut] drops it as well.
+    if sm.image_token_index is not None and sm.image_token_index >= cut:
+        raise ValidationError(
+            f"sample '{sm.conv_id}': truncation to {pad_to} would drop the image placeholder")
     return cut
 
 
@@ -120,24 +125,13 @@ def collate(samples: Sequence[TokenizedSample], pad_to: int) -> Batch:
     if not samples:
         raise ValidationError("collate needs at least one sample")
     require_int("pad_to", pad_to, 1)
-    rows_ids, rows_labels, lengths, indices = [], [], [], []
-    truncated = 0
-    for sm in samples:
-        ids, labels = sm.input_ids, sm.labels
-        if len(ids) > pad_to:
-            cut = _truncation_cut(ids, pad_to)
-            if sm.image_token_index is not None and sm.image_token_index >= cut:
-                raise ValidationError(
-                    f"sample '{sm.conv_id}': truncation to {pad_to} would drop the image "
-                    "placeholder")
-            ids, labels = ids[:cut], labels[:cut]
-            truncated += 1
-        lengths.append(len(ids))
-        indices.append(sm.image_token_index)
-        rows_ids.append(np.concatenate(
-            [ids, np.full(pad_to - len(ids), PAD_ID, dtype=np.int32)]))
-        rows_labels.append(np.concatenate(
-            [labels, np.full(pad_to - len(labels), IGNORE_INDEX, dtype=np.int32)]))
+    lengths = [_kept_length(sm, pad_to) for sm in samples]
+    shape = (len(samples), pad_to)
+    ids = np.full(shape, PAD_ID, np.result_type(np.int32, *(sm.input_ids for sm in samples)))
+    labels = np.full(shape, IGNORE_INDEX, np.result_type(np.int32, *(sm.labels for sm in samples)))
+    for row, (sm, kept) in enumerate(zip(samples, lengths)):
+        ids[row, :kept] = sm.input_ids[:kept]
+        labels[row, :kept] = sm.labels[:kept]
 
     images = None
     if all(sm.image is not None for sm in samples):
@@ -151,10 +145,10 @@ def collate(samples: Sequence[TokenizedSample], pad_to: int) -> Batch:
         images = [sm.image for sm in samples]
 
     return Batch(
-        ids=np.stack(rows_ids),
-        labels=np.stack(rows_labels),
+        ids=ids,
+        labels=labels,
         lengths=lengths,
         images=images,
-        image_token_indices=indices,
-        truncated=truncated,
+        image_token_indices=[sm.image_token_index for sm in samples],
+        truncated=sum(len(sm.input_ids) > pad_to for sm in samples),
     )

@@ -470,6 +470,36 @@ def test_load_ppm_rejects_non_positive_size(tmp_path, size, field):
     assert str(p) in str(ei.value) and f"PPM {field} must be positive" in str(ei.value)
 
 
+@pytest.mark.parametrize("blob", [
+    pytest.param(b"P6\n1_0 1 255\n" + bytes(30), id="underscore"),   # int() takes it
+    pytest.param(b"P6\n+1 1 255\n" + bytes(3), id="plus"),
+    pytest.param(b"P61 1 255\n" + bytes(3), id="no-gap-after-magic"),
+    pytest.param(b"P6\n1 1 255x" + bytes(3), id="maxval-then-byte"),
+    pytest.param(b"P6\n1 1 255", id="maxval-then-end"),
+])
+def test_load_ppm_rejects_malformed_header(tmp_path, blob):
+    p = tmp_path / "h.ppm"
+    p.write_bytes(blob)
+    with pytest.raises(ValidationError) as ei:
+        load_ppm(str(p))
+    assert str(p) in str(ei.value)
+
+
+@pytest.mark.parametrize("header", [
+    pytest.param(b"P6# c\n2 2 255\n", id="comment-after-magic"),
+    pytest.param(b"P6\n2 # c\n# d\n2\n255\n", id="comments-between-fields"),
+    pytest.param(b"P6\n2# c\n2 255\n", id="comment-right-after-field"),
+    pytest.param(b"P6\t2\t2\t255\t", id="tabs"),
+    pytest.param(b"P6\r2\r2\r255\r", id="carriage-returns"),
+])
+def test_load_ppm_header_gaps_do_not_change_the_image(tmp_path, header):
+    pixels = np.arange(12, dtype=np.uint8).reshape(2, 2, 3)
+    plain, p = tmp_path / "plain.ppm", tmp_path / "h.ppm"
+    write_ppm(str(plain), pixels)
+    p.write_bytes(header + pixels.tobytes())
+    np.testing.assert_array_equal(load_ppm(str(p)), load_ppm(str(plain)))
+
+
 def test_preprocess_constant_images():
     zeros = np.zeros((3, 8, 8), dtype=np.float32)
     out = preprocess_image(zeros, target=8)

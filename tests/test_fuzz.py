@@ -87,6 +87,7 @@ def test_load_dataset_loads_or_names_the_record(tmp_path_factory, records):
 
 # A header field is either a decimal integer or arbitrary bytes.
 FIELDS = st.integers(-3, 5) | st.binary(min_size=1, max_size=3)
+DECIMAL = re.compile(rb"-?[0-9]+")
 
 
 def _field(value):
@@ -99,15 +100,20 @@ def _field(value):
        comment=st.booleans(), extra=st.integers(-2, 2))
 @example(magic=b"P6", width=-2, height=2, maxval=255, comment=False, extra=0)
 @example(magic=b"P6", width=0, height=0, maxval=255, comment=False, extra=0)
+@example(magic=b"P6", width=b"1_0", height=1, maxval=255, comment=False, extra=18)
+@example(magic=b"P6", width=b"+1", height=1, maxval=255, comment=False, extra=0)
+@example(magic=b"P6", width=b"7", height=1, maxval=255, comment=False, extra=0)
 def test_load_ppm_loads_or_names_the_field(tmp_path_factory, magic, width, height, maxval,
                                           comment, extra):
-    header = magic + b"\n" + (b"# fuzz\n" if comment else b"")
-    header += b" ".join(_field(f) for f in (width, height, maxval)) + b"\n"
-    sized = isinstance(width, int) and isinstance(height, int)
+    fields = [_field(f) for f in (width, height, maxval)]
+    header = magic + b"\n" + (b"# fuzz\n" if comment else b"") + b" ".join(fields) + b"\n"
+    # A field counts as an integer only when it is written in decimal.
+    width, height, maxval = (int(f) if DECIMAL.fullmatch(f) else None for f in fields)
+    sized = width is not None and height is not None
     need = 3 * max(width, 0) * max(height, 0) if sized else 12
     path = tmp_path_factory.getbasetemp() / "fuzz.ppm"
     path.write_bytes(header + bytes(range(256))[:max(need + extra, 0)])
-    ints = all(isinstance(f, int) for f in (width, height, maxval))
+    ints = sized and maxval is not None
     try:
         img = load_ppm(str(path))
     except VlmkitError as exc:
@@ -185,8 +191,8 @@ def test_tokenize_labels_or_raises(conv, tpl):
 # -- collate ---------------------------------------------------------------------------
 
 
-# Any text but "<", so that only the drawn placeholder makes an image token.
-COLLATE_TEXTS = st.text(st.characters(exclude_characters="<"), max_size=8)
+# Any UTF-8 text but "<", so that only the drawn placeholder makes an image token.
+COLLATE_TEXTS = st.text(st.characters(codec="utf-8", exclude_characters="<"), max_size=8)
 
 
 @st.composite
@@ -204,9 +210,13 @@ def tokenized_samples(draw, index):
     if has_image:
         size = draw(st.sampled_from([2, 3]))
         sample.image = np.zeros((3, size, size), dtype=np.float32)
+    # Other integer dtypes, so that collate's output dtype is the promoted one.
+    sample.input_ids = sample.input_ids.astype(draw(INT_DTYPES))
+    sample.labels = sample.labels.astype(draw(INT_DTYPES))
     return sample
 
 
+INT_DTYPES = st.sampled_from([np.int32, np.int16, np.int64])
 COLLATE_CASES = st.integers(1, 4).flatmap(
     lambda b: st.tuples(st.tuples(*(tokenized_samples(i) for i in range(b))),
                         st.integers(-2, 48)))
@@ -226,6 +236,31 @@ def _collate_case(image_sizes, pad_to):
             sm.image = np.zeros((3, size, size), dtype=np.float32)
         samples.append(sm)
     return tuple(samples), pad_to
+
+
+def _stacked_collate(samples, pad_to):
+    """collate as it was written before its preallocated fill: each row cut,
+    padded by concatenation, then stacked. The reference for ids, labels (values
+    and dtype), lengths, indices, truncated and images."""
+    ids, labels, lengths = [], [], []
+    for sm in samples:
+        cut = min(len(sm), pad_to)
+        while cut < len(sm) and cut > 0 and 0x80 <= int(sm.input_ids[cut]) <= 0xBF:
+            cut -= 1
+        lengths.append(cut)
+        ids.append(np.concatenate(
+            [sm.input_ids[:cut], np.full(pad_to - cut, PAD_ID, dtype=np.int32)]))
+        labels.append(np.concatenate(
+            [sm.labels[:cut], np.full(pad_to - cut, IGNORE_INDEX, dtype=np.int32)]))
+    with_image = [sm.image is not None for sm in samples]
+    images = None
+    if all(with_image):
+        images = np.stack([sm.image for sm in samples])
+    elif any(with_image):
+        images = [sm.image for sm in samples]
+    return (np.stack(ids), np.stack(labels), lengths,
+            [sm.image_token_index for sm in samples], sum(len(sm) > pad_to for sm in samples),
+            images)
 
 
 @FUZZ
@@ -270,6 +305,18 @@ def test_collate_batches_or_names_the_sample(case):
         assert [img is not None for img in batch.images] == with_image
     else:
         assert batch.images is None
+
+    ids, labels, lengths, indices, truncated, images = _stacked_collate(samples, pad_to)
+    for got, want in ((batch.ids, ids), (batch.labels, labels)):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+    assert batch.lengths == lengths and batch.image_token_indices == indices
+    assert batch.truncated == truncated
+    if isinstance(images, np.ndarray):
+        assert batch.images.dtype == images.dtype
+        np.testing.assert_array_equal(batch.images, images)
+    elif images is not None:
+        assert all(got is want for got, want in zip(batch.images, images))
 
 
 # -- resolve_model_config --------------------------------------------------------------
