@@ -52,28 +52,26 @@ class Module:
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)
 
-    def _walk(self, out: list, prefix: Optional[str]) -> list:
-        """Append every parameter to `out` in path order: (path, tensor) pairs
-        under a string prefix, bare tensors (no path built) under None."""
+    def _walk(self, out: list, prefix: str) -> list:
+        """Append a (path, tensor) pair for every parameter to `out`, in path order."""
         for name, value in vars(self).items():
             if name.startswith("_"):
                 continue
-            path = None if prefix is None else prefix + name
             if isinstance(value, Tensor):
-                out.append(value if path is None else (path, value))
+                out.append((prefix + name, value))
             elif isinstance(value, Module):
-                value._walk(out, None if path is None else path + ".")
+                value._walk(out, f"{prefix}{name}.")
             elif isinstance(value, (list, tuple)):
                 for i, item in enumerate(value):
                     if isinstance(item, Module):
-                        item._walk(out, None if path is None else f"{path}.{i}.")
+                        item._walk(out, f"{prefix}{name}.{i}.")
         return out
 
     def named_parameters(self) -> List[Tuple[str, Tensor]]:
         return self._walk([], "")
 
     def parameters(self) -> List[Tensor]:
-        return self._walk([], None)
+        return [t for _, t in self.named_parameters()]
 
 
 class Linear(Module):

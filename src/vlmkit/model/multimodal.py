@@ -15,7 +15,7 @@ import numpy as np
 
 from ..data.conversations import Conversation
 from ..data.labeling import TokenizedSample, tokenize_prompt
-from ..data.tokenizer import EOS_ID, ByteTokenizer
+from ..data.tokenizer import EOS_ID, IMAGE_ID, ByteTokenizer
 from ..errors import ValidationError, VlmkitError, require_int
 from ..numerics import Rng, Tensor, concat, masked_cross_entropy, no_grad
 from ..numerics.ops import IGNORE_INDEX
@@ -61,7 +61,7 @@ def compose_multimodal(ids: np.ndarray, labels: Optional[np.ndarray],
     Returns (embeds [T', d], labels [T'] or None, positions [T']). Labels stay
     aligned with their input positions (`sequence_loss` shifts them); positions
     covering the image carry IGNORE_INDEX. An image and a placeholder index
-    come together or not at all. Ids, labels and the index keep the caller's
+    come together or not at all, and the index must hold IMAGE_ID. Ids, labels and the index keep the caller's
     integer types; none is cast, so a float is rejected, not truncated. Labels
     must be signed, since no unsigned dtype holds IGNORE_INDEX.
     """
@@ -79,6 +79,9 @@ def compose_multimodal(ids: np.ndarray, labels: Optional[np.ndarray],
     idx = require_int("image token index", image_token_index)
     if not 0 <= idx < len(ids):
         raise ValidationError(f"image token index {idx} outside sequence of length {len(ids)}")
+    if ids[idx] != IMAGE_ID:
+        raise ValidationError(f"image token index {idx} holds token {ids[idx]}, "
+                              f"not the image token {IMAGE_ID}")
     m = image_embeds.shape[0]
     parts: List[Tensor] = []
     if idx > 0:

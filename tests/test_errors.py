@@ -65,6 +65,9 @@ ERRORS = [
                  lambda tmp: compose_multimodal(np.array([1, 2]), None, _t(2, 8), 0.5, _llm()),
                  id="compose-index-float"),
     pytest.param(ValidationError,
+                 lambda tmp: compose_multimodal(np.array([1, 2]), None, _t(2, 8), 1, _llm()),
+                 id="compose-index-not-image"),
+    pytest.param(ValidationError,
                  lambda tmp: build_model({"connector": {"name": "linear", "config": {"d_m": 32}}},
                                          0),
                  id="resolve-d_m"),

@@ -6,7 +6,7 @@ import pytest
 from vlmkit.data import (BUILTIN_TEMPLATES, ByteTokenizer, Conversation, Turn, collate,
                          make_sample, preprocess_image, synth_vqa_generate, tokenize_and_label,
                          tokenize_prompt)
-from vlmkit.data.tokenizer import EOS_ID
+from vlmkit.data.tokenizer import EOS_ID, IMAGE_ID
 from vlmkit.errors import DimensionError, RegistryError, ValidationError
 from vlmkit.model import (
     ConnectorConfig,
@@ -262,6 +262,7 @@ def _toy_llm():
 def test_compose_lengths():
     llm = _toy_llm()
     ids = np.arange(10, dtype=np.int32)
+    ids[3] = IMAGE_ID
     labels = np.full(10, IGNORE_INDEX, dtype=np.int32)
     img = Tensor(np.zeros((4, 32), dtype=np.float32))
     embeds, labels2, positions = compose_multimodal(ids, labels, img, 3, llm)
@@ -282,6 +283,7 @@ def test_compose_without_image_is_plain_embedding():
 def test_compose_preserves_supervised_count():
     llm = _toy_llm()
     ids = np.arange(12, dtype=np.int32)
+    ids[4] = IMAGE_ID
     labels = np.where(np.arange(12) % 3 == 0, np.arange(12, dtype=np.int32), IGNORE_INDEX)
     labels[4] = IGNORE_INDEX
     img = Tensor(np.zeros((5, 32), dtype=np.float32))
@@ -461,6 +463,17 @@ def test_sequence_loss_names_the_sample_of_unsigned_labels():
     with pytest.raises(ValidationError) as ei:
         sequence_loss(model, sm)
     assert str(ei.value) == "sample 's': labels must be signed integers, got dtype uint64"
+
+
+def test_sequence_loss_names_the_sample_of_a_placeholder_index_off_the_image_token():
+    model = build_model(tiny_model_cfg(), seed=SEED)
+    sm = _sample_for(model)
+    idx = sm.image_token_index - 1
+    sm.image_token_index = idx
+    with pytest.raises(ValidationError) as ei:
+        sequence_loss(model, sm)
+    assert str(ei.value) == (f"sample 's': image token index {idx} holds token "
+                             f"{sm.input_ids[idx]}, not the image token {IMAGE_ID}")
 
 
 # -- generation -------------------------------------------------------------------
