@@ -61,9 +61,10 @@ def compose_multimodal(ids: np.ndarray, labels: Optional[np.ndarray],
     Returns (embeds [T', d], labels [T'] or None, positions [T']). Labels stay
     aligned with their input positions (`sequence_loss` shifts them); positions
     covering the image carry IGNORE_INDEX. An image and a placeholder index
-    come together or not at all, and the index must hold IMAGE_ID. Ids, labels and the index keep the caller's
-    integer types; none is cast, so a float is rejected, not truncated. Labels
-    must be signed, since no unsigned dtype holds IGNORE_INDEX.
+    come together or not at all, and the index must hold IMAGE_ID. Ids, labels
+    and the index keep the caller's integer types; none is cast, so a float is
+    rejected, not truncated. Labels must be signed, since no unsigned dtype
+    holds IGNORE_INDEX.
     """
     ids = np.asarray(ids)
     if image_embeds is None and image_token_index is not None:
