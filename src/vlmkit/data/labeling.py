@@ -100,8 +100,11 @@ class Batch:
 
 def _kept_length(sm: TokenizedSample, pad_to: int) -> int:
     """Length of `sm` cut to at most `pad_to`: the rightmost cut that does not
-    split a multi-byte character or drop the image placeholder."""
+    split a multi-byte character or drop the image placeholder. Ids and labels
+    must be equally long."""
     ids, cut = sm.input_ids, pad_to
+    if len(sm.labels) != len(ids):
+        raise ValidationError(f"sample '{sm.conv_id}': {len(ids)} ids but {len(sm.labels)} labels")
     if len(ids) <= cut:
         return len(ids)
     while cut > 0 and 0x80 <= int(ids[cut]) <= 0xBF:

@@ -422,6 +422,15 @@ def test_collate_refuses_to_drop_image_placeholder():
         collate([sm], pad_to=3)
 
 
+@pytest.mark.parametrize("labels", [2, 6])
+def test_collate_names_a_sample_whose_labels_and_ids_differ_in_length(labels):
+    sm = _sample([1, 2, 3, 4])
+    sm.conv_id, sm.labels = "odd", np.zeros(labels, dtype=np.int32)
+    with pytest.raises(ValidationError) as ei:
+        collate([_sample([5]), sm], pad_to=8)
+    assert str(ei.value) == f"sample 'odd': 4 ids but {labels} labels"
+
+
 # -- images -----------------------------------------------------------------------
 
 
