@@ -193,6 +193,7 @@ def test_tokenize_labels_or_raises(conv, tpl):
 
 # Any UTF-8 text but "<", so that only the drawn placeholder makes an image token.
 COLLATE_TEXTS = st.text(st.characters(codec="utf-8", exclude_characters="<"), max_size=8)
+INT_DTYPES = st.sampled_from([np.int32, np.int16, np.int64])
 
 
 @st.composite
@@ -216,7 +217,6 @@ def tokenized_samples(draw, index):
     return sample
 
 
-INT_DTYPES = st.sampled_from([np.int32, np.int16, np.int64])
 COLLATE_CASES = st.integers(1, 4).flatmap(
     lambda b: st.tuples(st.tuples(*(tokenized_samples(i) for i in range(b))),
                         st.integers(-2, 48)))
@@ -239,9 +239,9 @@ def _collate_case(image_sizes, pad_to):
 
 
 def _stacked_collate(samples, pad_to):
-    """collate as it was written before its preallocated fill: each row cut,
-    padded by concatenation, then stacked. The reference for ids, labels (values
-    and dtype), lengths, indices, truncated and images."""
+    """`collate` by concatenate-and-stack, the reference for its preallocated
+    fill: each row cut, padded by concatenation, then stacked. Compared on ids,
+    labels (values and dtype), lengths, indices, truncated and images."""
     ids, labels, lengths = [], [], []
     for sm in samples:
         cut = min(len(sm), pad_to)
