@@ -7,6 +7,7 @@ A dataset file is a JSON array of records:
 
 The "<image>" literal marks where image features are spliced into the
 token sequence; it may appear once, and only in the first human turn.
+Turn text must be encodable as UTF-8, which the tokenizer emits.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from ..errors import ValidationError
-from .tokenizer import IMAGE_PLACEHOLDER
+from .tokenizer import IMAGE_PLACEHOLDER, require_utf8
 
 ROLE_HUMAN = "human"
 ROLE_ASSISTANT = "assistant"
@@ -38,24 +39,24 @@ class Conversation:
     turns: List[Turn] = field(default_factory=list)
 
     def validate(self):
+        placeholders: List[int] = []      # the turn of each "<image>", in order
         for i, turn in enumerate(self.turns):
             expected = ROLE_HUMAN if i % 2 == 0 else ROLE_ASSISTANT
             if turn.role != expected:
                 raise ValidationError(
                     f"conversation '{self.id}': turn {i} has role '{turn.role}', "
                     f"expected '{expected}' (roles must alternate starting with human)")
-        placeholders = sum(t.text.count(IMAGE_PLACEHOLDER) for t in self.turns)
-        if placeholders > 1:
+            require_utf8(turn.text, f"conversation '{self.id}': turn {i}")
+            placeholders += [i] * turn.text.count(IMAGE_PLACEHOLDER)
+        if len(placeholders) > 1:
             raise ValidationError(
-                f"conversation '{self.id}': '{IMAGE_PLACEHOLDER}' appears {placeholders} times, "
-                "at most one is allowed")
-        if placeholders == 1:
-            for i, turn in enumerate(self.turns):
-                if IMAGE_PLACEHOLDER in turn.text and i != 0:
-                    raise ValidationError(
-                        f"conversation '{self.id}': '{IMAGE_PLACEHOLDER}' must appear in the "
-                        f"first human turn, found in turn {i}")
-        if (self.image_path is not None) != (placeholders == 1):
+                f"conversation '{self.id}': '{IMAGE_PLACEHOLDER}' appears {len(placeholders)} "
+                "times, at most one is allowed")
+        if placeholders and placeholders[0]:
+            raise ValidationError(
+                f"conversation '{self.id}': '{IMAGE_PLACEHOLDER}' must appear in the "
+                f"first human turn, found in turn {placeholders[0]}")
+        if (self.image_path is not None) != bool(placeholders):
             raise ValidationError(
                 f"conversation '{self.id}': image path and '{IMAGE_PLACEHOLDER}' placeholder "
                 "must be present together")

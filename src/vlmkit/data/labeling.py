@@ -4,9 +4,10 @@ The segments come from `templates.template_segments`, which alone defines
 their order. Each segment (system message, role markers, turn texts,
 specials) is tokenized independently and concatenated, so token boundaries
 never straddle segments, and `template_segments` rejects an "<image>" split
-across them. Labels
-carry the token id inside assistant answer text plus its terminator (EOS or
-the assistant suffix) and IGNORE_INDEX (-100) everywhere else.
+across them. Labels carry the token id inside assistant answer text plus its
+terminator (EOS or the assistant suffix) and IGNORE_INDEX (-100) everywhere
+else. The one image token is never supervised: templates may not hold
+"<image>", so it comes from the first turn, which is a human one.
 """
 
 from __future__ import annotations
@@ -35,42 +36,31 @@ class TokenizedSample:
         return int(self.input_ids.shape[0])
 
 
-def _encode(piece, tok: ByteTokenizer) -> List[int]:
-    return [piece] if isinstance(piece, int) else tok.encode(piece)
-
-
-def _image_index(ids: np.ndarray) -> Optional[int]:
-    pos = np.where(ids == IMAGE_ID)[0]
-    return int(pos[0]) if pos.size else None
-
-
-def tokenize_and_label(conv: Conversation, tpl: ChatTemplate, tok: ByteTokenizer,
-                       require_assistant: bool = True) -> TokenizedSample:
-    """Tokenize a conversation and mask everything but the answers.
-
-    With require_assistant=False (pretraining mode) a conversation without
-    any assistant turn is allowed and yields all-ignored labels.
-    """
+def _tokenize(conv: Conversation, tpl: ChatTemplate, tok: ByteTokenizer,
+              prompt: bool) -> Tuple[np.ndarray, np.ndarray, Optional[int]]:
+    """The ids and labels of `conv`'s template segments (see `template_segments`
+    for `prompt`), and the index of the image placeholder, if any."""
     ids: List[int] = []
     labels: List[int] = []
-    answered = False      # every assistant turn yields supervised segments
-    for piece, supervised in template_segments(conv, tpl):
-        seg = _encode(piece, tok)
+    for piece, supervised in template_segments(conv, tpl, prompt):
+        seg = [piece] if isinstance(piece, int) else tok.encode(piece)
         ids.extend(seg)
         labels.extend(seg if supervised else [IGNORE_INDEX] * len(seg))
-        answered |= supervised
-    if require_assistant and not answered:
-        raise ValidationError(f"conversation '{conv.id}' has no assistant turn")
+    image_index = ids.index(IMAGE_ID) if IMAGE_ID in ids else None
+    return np.asarray(ids, dtype=np.int32), np.asarray(labels, dtype=np.int32), image_index
 
-    arr_ids = np.asarray(ids, dtype=np.int32)
-    arr_labels = np.asarray(labels, dtype=np.int32)
-    arr_labels[arr_ids == IMAGE_ID] = IGNORE_INDEX
-    return TokenizedSample(
-        input_ids=arr_ids,
-        labels=arr_labels,
-        image_token_index=_image_index(arr_ids),
-        conv_id=conv.id,
-    )
+
+def tokenize_and_label(conv: Conversation, tpl: ChatTemplate,
+                       tok: ByteTokenizer) -> TokenizedSample:
+    """Tokenize a conversation and mask everything but the answers.
+
+    A conversation without an assistant turn would train nothing and is
+    refused: every assistant turn supervises at least its terminator.
+    """
+    ids, labels, image_index = _tokenize(conv, tpl, tok, prompt=False)
+    if (labels == IGNORE_INDEX).all():
+        raise ValidationError(f"conversation '{conv.id}' has no assistant turn")
+    return TokenizedSample(ids, labels, image_index, conv_id=conv.id)
 
 
 def tokenize_prompt(conv: Conversation, tpl: ChatTemplate,
@@ -81,11 +71,8 @@ def tokenize_prompt(conv: Conversation, tpl: ChatTemplate,
     assistant prefix; a conversation ending on a human turn gets the prefix
     appended.
     """
-    ids: List[int] = []
-    for piece, _ in template_segments(conv, tpl, prompt=True):
-        ids.extend(_encode(piece, tok))
-    arr = np.asarray(ids, dtype=np.int32)
-    return arr, _image_index(arr)
+    ids, _, image_index = _tokenize(conv, tpl, tok, prompt=True)
+    return ids, image_index
 
 
 @dataclass

@@ -28,7 +28,7 @@ from typing import Iterator, List, Tuple, Union
 from ..errors import ValidationError
 from ..registry import registry
 from .conversations import Conversation, ROLE_HUMAN
-from .tokenizer import BOS_ID, EOS_ID, IMAGE_PLACEHOLDER
+from .tokenizer import BOS_ID, EOS_ID, IMAGE_PLACEHOLDER, require_utf8
 
 # String rendering of the EOS token in prompts (the tokenizer emits the
 # EOS id directly; this literal only appears in rendered text).
@@ -47,6 +47,11 @@ class ChatTemplate:
     add_eos_after_assistant: bool = True
 
     def __post_init__(self):
+        for attr, text in vars(self).items():
+            if isinstance(text, str) and attr != "name":
+                require_utf8(text, where := f"template '{self.name}': {attr}")
+                if IMAGE_PLACEHOLDER in text:
+                    raise ValidationError(f"{where} holds '{IMAGE_PLACEHOLDER}'")
         if not self.add_eos_after_assistant and not self.assistant_suffix:
             raise ValidationError(
                 f"template '{self.name}': answers need a terminator; set "

@@ -20,6 +20,16 @@ VOCAB_SIZE = 260
 IMAGE_PLACEHOLDER = "<image>"
 
 
+def require_utf8(text: str, where: str) -> None:
+    """Raise ValidationError, naming `where`, when UTF-8 cannot encode `text`
+    (it holds a lone surrogate, as JSON's "\\ud800" decodes to)."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ValidationError(
+            f"{where} holds {text[exc.start]!r}, which UTF-8 cannot encode") from None
+
+
 class ByteTokenizer:
     def encode(self, text: str) -> List[int]:
         ids: List[int] = []

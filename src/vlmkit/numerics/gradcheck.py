@@ -9,9 +9,12 @@ import numpy as np
 from ..errors import ValidationError
 from .tensor import Tensor, no_grad
 
+STEP = 1e-3
 
-def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-3) -> float:
-    """Max relative error between f's recorded gradient and central differences.
+
+def grad_check(f: Callable[[Tensor], Tensor], x: Tensor) -> float:
+    """Max relative error between f's recorded gradient and central differences
+    of step STEP (1e-3).
 
     `f` must return a scalar tensor and may either use its argument or close
     over `x` directly (grad_check perturbs x.data in place for the
@@ -37,8 +40,8 @@ def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-3) -> flo
     with no_grad():
         for i in range(flat.size):
             orig = flat[i]
-            hi = np.float32(orig + h)
-            lo = np.float32(orig - h)
+            hi = np.float32(orig + STEP)
+            lo = np.float32(orig - STEP)
             flat[i] = hi
             up = float(f(x).item())
             flat[i] = lo

@@ -1,6 +1,7 @@
 """Dataset loading, templating, tokenization/masking, images, synthesis."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -130,6 +131,13 @@ _QA = [{"from": "human", "value": "<image>\nq"}, {"from": "gpt", "value": "a"}]
     ([{"id": "1", "image": "x.ppm", "conversations": _QA},
       {"id": 1, "image": "y.ppm", "conversations": _QA}], "record 1: 'id' must be a string"),
     ([{"id": None, "conversations": _QA[1:]}], "record 0: 'id' must be a string, got None"),
+    ([{"id": "s", "conversations": [{"from": "human", "value": "q"},
+                                    {"from": "gpt", "value": "a\ud800"}]}],
+     "record 0: conversation 's': turn 1 holds '\\ud800', which UTF-8 cannot encode"),
+    ([{"id": "late", "image": "x.ppm", "conversations": [{"from": "human", "value": "q"},
+                                                         {"from": "gpt", "value": "<image>"}]}],
+     "record 0: conversation 'late': '<image>' must appear in the first human turn, "
+     "found in turn 1"),
 ])
 def test_load_dataset_rejects_malformed_records(tmp_path, records, named):
     p = tmp_path / "d.json"
@@ -212,19 +220,23 @@ def _decode_with_eos(ids):
 def test_render_agrees_with_tokenized_prompts():
     # Rendering and tokenizing walk the same segments: decoding the ids gives
     # the rendered text, and a generation prompt ends on the assistant prefix
-    # whether the last turn is an assistant or a human one.
+    # whether the last turn is an assistant or a human one. A lone question has
+    # no labeled ids, so its full render is checked as the prompt's head.
     rng = np.random.default_rng(5)
     for k in range(60):
         conv = random_conversation(rng, conv_id=f"c{k}")
         if k % 3 == 0:
             conv.turns.pop()
         for tpl in BUILTIN_TEMPLATES.values():
-            full = tokenize_and_label(conv, tpl, TOK, require_assistant=False)
-            assert render_prompt(conv, tpl) == _decode_with_eos(full.input_ids)
             ids, _ = tokenize_prompt(conv, tpl, TOK)
             prompt = render_prompt(conv, tpl, include_last_assistant=False)
             assert prompt == _decode_with_eos(ids)
             assert prompt.endswith(tpl.assistant_prefix)
+            if len(conv.turns) == 1:
+                assert render_prompt(conv, tpl) + tpl.assistant_prefix == prompt
+                continue
+            full = tokenize_and_label(conv, tpl, TOK)
+            assert render_prompt(conv, tpl) == _decode_with_eos(full.input_ids)
 
 
 def test_render_generation_prompt_after_human_turn_adds_prefix():
@@ -248,6 +260,17 @@ def test_placeholder_split_across_pieces_is_rejected(tpl, turns):
             call()
 
 
+@pytest.mark.parametrize("field", ["system_message", "user_prefix", "user_suffix",
+                                   "assistant_prefix", "assistant_suffix"])
+@pytest.mark.parametrize("text, problem", [("look: <image> ", "holds '<image>'"),
+                                           ("a\ud800", "holds '\\ud800'")],
+                         ids=["placeholder", "surrogate"])
+def test_template_text_refuses_placeholder_and_unencodable_text(field, text, problem):
+    # A template's "<image>" would tokenize to a second image token.
+    with pytest.raises(ValidationError, match=f"^template 'x': {field} {re.escape(problem)}"):
+        ChatTemplate("x", **{field: text})
+
+
 # -- tokenize and label ------------------------------------------------------------
 
 
@@ -260,12 +283,11 @@ def test_tokenize_plain_hand_traced():
     assert sm.image_token_index == 0
 
 
-def test_tokenize_no_assistant_pretraining_vs_finetune():
-    conv = Conversation(id="t", turns=[Turn("human", "hello")])
-    sm = tokenize_and_label(conv, BUILTIN_TEMPLATES["plain"], TOK, require_assistant=False)
-    assert (sm.labels == IGNORE_INDEX).all()
-    with pytest.raises(ValidationError):
-        tokenize_and_label(conv, BUILTIN_TEMPLATES["plain"], TOK)
+def test_tokenize_without_assistant_turn_is_rejected():
+    for turns in ([], [Turn("human", "hello")]):
+        conv = Conversation(id="t", turns=turns)
+        with pytest.raises(ValidationError, match="^conversation 't' has no assistant turn$"):
+            tokenize_and_label(conv, BUILTIN_TEMPLATES["plain"], TOK)
 
 
 def test_label_alignment_invariants():

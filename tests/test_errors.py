@@ -50,6 +50,8 @@ ERRORS = [
     pytest.param(ValidationError, lambda tmp: ByteTokenizer().decode([999]), id="decode-id"),
     pytest.param(ValidationError, lambda tmp: ChatTemplate("t", add_eos_after_assistant=False),
                  id="template-no-terminator"),
+    pytest.param(ValidationError, lambda tmp: ChatTemplate("t", system_message="look: <image> "),
+                 id="template-image"),
     # model configs and layers
     pytest.param(ValidationError, lambda tmp: LLMConfig(width=30, heads=4), id="llm-heads"),
     pytest.param(ValidationError, lambda tmp: VisionTowerConfig(image_size=15),

@@ -21,8 +21,8 @@ import numpy as np
 from hypothesis import example, given, strategies as st
 
 from helpers import FUZZ
-from vlmkit.data import (BUILTIN_TEMPLATES, IMAGE_ID, IMAGE_PLACEHOLDER, PAD_ID, ByteTokenizer,
-                         Conversation, Turn, collate, load_dataset, load_ppm,
+from vlmkit.data import (BOS_ID, BUILTIN_TEMPLATES, IMAGE_ID, IMAGE_PLACEHOLDER, PAD_ID,
+                         ByteTokenizer, Conversation, Turn, collate, load_dataset, load_ppm,
                          render_prompt, tokenize_and_label, tokenize_prompt)
 from vlmkit.data.conversations import ROLE_ASSISTANT, ROLE_HUMAN
 from vlmkit.errors import VlmkitError
@@ -62,6 +62,8 @@ QUESTION = [{"from": "human", "value": "<image>\nq"}, {"from": "gpt", "value": "
 @example(records=[{"id": None}])
 @example(records=[{"id": 1}, {"id": "1"}])
 @example(records=[{"id": "1"}, {}])
+@example(records=[{"id": "a", "conversations": [{"from": "human", "value": "q\ud800"},
+                                                {"from": "gpt", "value": "a"}]}])
 def test_load_dataset_loads_or_names_the_record(tmp_path_factory, records):
     path = tmp_path_factory.getbasetemp() / "fuzz_dataset.json"
     path.write_text(json.dumps(records), encoding="utf-8")
@@ -81,6 +83,7 @@ def test_load_dataset_loads_or_names_the_record(tmp_path_factory, records):
         for turn in conv.turns:
             assert turn.role in (ROLE_HUMAN, ROLE_ASSISTANT)
             assert isinstance(turn.text, str)
+            turn.text.encode("utf-8")       # the tokenizer can take it
 
 
 # -- load_ppm ------------------------------------------------------------------------
@@ -158,20 +161,38 @@ def conversations(draw):
 @example(conv=Conversation("split", None,
                           [Turn(ROLE_HUMAN, "q<ima"), Turn(ROLE_ASSISTANT, "ge>")]),
          tpl=BUILTIN_TEMPLATES["plain"])
+@example(conv=Conversation("surrogate", None,
+                          [Turn(ROLE_HUMAN, "q"), Turn(ROLE_ASSISTANT, "\ud800")]),
+         tpl=BUILTIN_TEMPLATES["plain"])
+@example(conv=Conversation("late", "x.ppm",
+                          [Turn(ROLE_HUMAN, "q"), Turn(ROLE_ASSISTANT, "<image>")]),
+         tpl=BUILTIN_TEMPLATES["plain"])
+@example(conv=Conversation("empty", None, []), tpl=BUILTIN_TEMPLATES["llava_v1"])
+@example(conv=Conversation("asked", "x.ppm", [Turn(ROLE_HUMAN, "<image>q")]),
+         tpl=BUILTIN_TEMPLATES["gemma_like"])
 def test_tokenize_labels_or_raises(conv, tpl):
     try:
-        full = tokenize_and_label(conv, tpl, TOK, require_assistant=False)
-    except VlmkitError:
-        return
-    ids, labels = full.input_ids, full.labels
+        full = tokenize_and_label(conv, tpl, TOK)
+        ids, labels, image_token_index = full.input_ids, full.labels, full.image_token_index
+    except VlmkitError as exc:
+        assert str(exc).startswith(f"conversation '{conv.id}'"), str(exc)
+        if not str(exc).endswith("has no assistant turn"):
+            return
+        # Nothing to label, so the ids to check the prompt against are the
+        # render's bytes after BOS (no EOS: only an answer ends with one).
+        assert ROLE_ASSISTANT not in [turn.role for turn in conv.turns]
+        ids = np.array([BOS_ID] * tpl.add_bos + TOK.encode(render_prompt(conv, tpl)))
+        labels = np.full(len(ids), IGNORE_INDEX)
+        image_token_index = int(np.argmax(ids == IMAGE_ID)) if IMAGE_ID in ids else None
     assert len(labels) == len(ids)
     sup = labels != IGNORE_INDEX
     assert (labels[sup] == ids[sup]).all()
+    assert not sup[ids == IMAGE_ID].any()
     # Every placeholder a render shows is an IMAGE token.
     assert render_prompt(conv, tpl).count(IMAGE_PLACEHOLDER) == (ids == IMAGE_ID).sum()
 
     prompt, image_index = tokenize_prompt(conv, tpl, TOK)
-    assert image_index == full.image_token_index
+    assert image_index == image_token_index
     rendered = render_prompt(conv, tpl, include_last_assistant=False)
     assert rendered.count(IMAGE_PLACEHOLDER) == (prompt == IMAGE_ID).sum()
     last = conv.turns[-1] if conv.turns else None
@@ -191,7 +212,9 @@ def test_tokenize_labels_or_raises(conv, tpl):
 # -- collate ---------------------------------------------------------------------------
 
 
-# Any UTF-8 text but "<", so that only the drawn placeholder makes an image token.
+# Text UTF-8 can encode, since these draws must build samples (refusing a lone
+# surrogate is fuzzed with load_dataset and tokenize_and_label), and no "<", so
+# that only the drawn placeholder makes an image token.
 COLLATE_TEXTS = st.text(st.characters(codec="utf-8", exclude_characters="<"), max_size=8)
 INT_DTYPES = st.sampled_from([np.int32, np.int16, np.int64])
 

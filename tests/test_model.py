@@ -521,6 +521,15 @@ def test_generate_image_placeholder_consistency():
     assert str(ei.value) == "prompt 'p': has an image but no image placeholder"
 
 
+def test_generate_names_the_prompt_with_unencodable_text():
+    model = build_model(tiny_model_cfg(), seed=SEED)
+    conv = Conversation(id="u", turns=[Turn("human", "\ud800")])
+    with pytest.raises(ValidationError) as ei:
+        generate(model, conv)
+    assert str(ei.value) == ("prompt 'u': conversation 'u': turn 0 holds '\\ud800', "
+                             "which UTF-8 cannot encode")
+
+
 def test_generate_prompt_too_long():
     model = build_model(tiny_model_cfg(), seed=SEED)
     conv = Conversation(id="long", turns=[Turn("human", "x" * 500)])
