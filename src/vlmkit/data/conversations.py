@@ -86,6 +86,8 @@ def conversation_from_record(record: dict, index: int) -> Conversation:
     if image is not None and not (isinstance(image, str) and image):
         raise ValidationError(f"record {index}: 'image' must be a non-empty path string, "
                               f"got {image!r}")
+    if image is not None:
+        require_utf8(image, f"record {index}: 'image'")
     conv_id = record.get("id", str(index))
     if not isinstance(conv_id, str):
         raise ValidationError(f"record {index}: 'id' must be a string, got {conv_id!r}")

@@ -34,6 +34,9 @@ def load_ppm(path: str) -> np.ndarray:
             blob = fh.read()
     except OSError as exc:
         raise ValidationError(f"{path}: cannot read ({exc.strerror})") from None
+    except UnicodeEncodeError as exc:
+        raise ValidationError(f"{path!r}: cannot read, the path holds "
+                              f"{exc.object[exc.start]!r}, which UTF-8 cannot encode") from None
     header = _PPM_HEADER.match(blob)
     if header is None:
         raise ValidationError(f"{path}: not a binary PPM header ('P6', width, height, "

@@ -79,7 +79,7 @@ def _existence_ordinal(index: int) -> int:
 
 def make_sample(seed: int, split: str, index: int) -> Tuple[np.ndarray, dict]:
     """Deterministically build sample `index` of a split: (pixels, record)."""
-    rng = Rng(seed).split("synth").split(split).split(str(index))
+    rng = Rng(seed, ("synth", str(split), str(index)))
     color = rng.choice(COLOR_NAMES)
     shape = rng.choice(SHAPES)
     quadrant = int(rng.integers(0, 4))

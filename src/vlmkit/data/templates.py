@@ -3,15 +3,18 @@
 Rendering is a pure function of (template, conversation). Three templates
 ship built in:
 
-  plain       empty markers, answers terminated by EOS; used for the
-              caption-alignment pretraining stage
+  plain       empty markers; used for the caption-alignment pretraining
+              stage
   llava_v1    "USER: ... ASSISTANT: ..." with a system message
   gemma_like  start/end-of-turn delimiters, answer terminated by the
               end-of-turn marker instead of EOS
 
+An answer ends with the template's assistant suffix when it has one, and
+with EOS when it does not, so every answer has a terminator to learn.
+
 The order of a conversation's pieces under a template is defined in one
 place, `template_segments`: BOS, system message, then per turn the user
-prefix/text/suffix or the assistant prefix/text/suffix and EOS. Rendering
+prefix/text/suffix or the assistant prefix/text and suffix or EOS. Rendering
 here and tokenizing in `labeling` only consume its segments.
 
 Segments are tokenized one by one, so "<image>" split across two of them
@@ -44,18 +47,17 @@ class ChatTemplate:
     assistant_prefix: str = ""
     assistant_suffix: str = ""
     add_bos: bool = False
-    add_eos_after_assistant: bool = True
 
     def __post_init__(self):
-        for attr, text in vars(self).items():
-            if isinstance(text, str) and attr != "name":
-                require_utf8(text, where := f"template '{self.name}': {attr}")
-                if IMAGE_PLACEHOLDER in text:
+        for attr, value in vars(self).items():
+            want = bool if attr == "add_bos" else str
+            where = f"template '{self.name}': {attr}"
+            if not isinstance(value, want):
+                raise ValidationError(f"{where} must be a {want.__name__}, got {value!r}")
+            if want is str and attr != "name":
+                require_utf8(value, where)
+                if IMAGE_PLACEHOLDER in value:
                     raise ValidationError(f"{where} holds '{IMAGE_PLACEHOLDER}'")
-        if not self.add_eos_after_assistant and not self.assistant_suffix:
-            raise ValidationError(
-                f"template '{self.name}': answers need a terminator; set "
-                "add_eos_after_assistant or a non-empty assistant_suffix")
 
 
 _SPECIAL_TEXT = {BOS_ID: "", EOS_ID: EOS_TEXT}
@@ -104,9 +106,7 @@ def _walk(conv: Conversation, tpl: ChatTemplate,
             if prompt and i == last:
                 return
             yield turn.text, True
-            yield tpl.assistant_suffix, True
-            if tpl.add_eos_after_assistant:
-                yield EOS_ID, True
+            yield tpl.assistant_suffix or EOS_ID, True
 
 
 def render_prompt(conv: Conversation, tpl: ChatTemplate,
@@ -139,7 +139,6 @@ GEMMA_LIKE = ChatTemplate(
     assistant_prefix="<start_of_turn>model\n",
     assistant_suffix="<end_of_turn>\n",
     add_bos=True,
-    add_eos_after_assistant=False,
 )
 
 BUILTIN_TEMPLATES = {t.name: t for t in (PLAIN, LLAVA_V1, GEMMA_LIKE)}

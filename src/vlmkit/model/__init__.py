@@ -14,6 +14,7 @@ from .connectors import (
     LinearConnector,
     MlpConnector,
     QFormerConnector,
+    QueryConfig,
     ResamplerConnector,
 )
 from .layers import (
@@ -39,8 +40,12 @@ from .vision import DualTower, VisionTower, VisionTowerConfig, patchify
 
 def _from_config(cls, config_cls):
     """The registry factory of `cls`: a config dict checked as `config_cls`, then the
-    rest of the arguments (the init stream) as given."""
-    return lambda cfg, *args: cls(config_from_dict(config_cls, cfg), *args)
+    rest of the arguments (the init stream) as given. The factory names
+    `config_cls` as its `config_class`, which `resolve_model_config` parses with."""
+    def create(cfg, *args):
+        return cls(config_from_dict(config_cls, cfg), *args)
+    create.config_class = config_cls
+    return create
 
 
 registry.register("vision", "clip_tiny", _from_config(VisionTower, VisionTowerConfig))
@@ -50,7 +55,7 @@ registry.register("vision", "dino_tiny", _from_config(VisionTower, VisionTowerCo
 registry.register("llm", "phi_tiny", _from_config(LanguageModel, LLMConfig))
 for _cls in (IdentityConnector, LinearConnector, MlpConnector, ResamplerConnector,
              QFormerConnector):
-    registry.register("connector", _cls.kind, _from_config(_cls, ConnectorConfig))
+    registry.register("connector", _cls.kind, _from_config(_cls, _cls.config_class))
 
 __all__ = [
     "Connector",
@@ -68,6 +73,7 @@ __all__ = [
     "MultiHeadAttention",
     "MultimodalModel",
     "QFormerConnector",
+    "QueryConfig",
     "RMSNorm",
     "ResamplerConnector",
     "TransformerBlock",

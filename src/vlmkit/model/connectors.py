@@ -4,6 +4,10 @@ Five kinds: identity, linear, mlp (two linear layers with GELU), and two
 fixed-query designs, resampler (cross-attention only) and qformer
 (self-attention over queries, then cross-attention). The fixed-query kinds
 output exactly `queries` tokens regardless of N.
+
+Each connector class names the config class it is built from, and only the
+fixed-query kinds have one with `queries`, `depth` and `heads`: a field that
+a kind does not read cannot be set for it.
 """
 
 from __future__ import annotations
@@ -21,12 +25,23 @@ from .layers import (INIT_STD, FeedForward, LayerNorm, Linear, Module, MultiHead
 class ConnectorConfig:
     d_v: int = 64
     d_m: int = 64
-    queries: int = 4      # resampler / qformer only
-    depth: int = 1        # resampler / qformer only
-    heads: int = 4        # resampler / qformer only
 
     def __post_init__(self):
         check_config_fields(self)
+
+
+@dataclass(frozen=True)
+class QueryConfig(ConnectorConfig):
+    """A fixed-query connector: `queries` output tokens refined by `depth` blocks
+    of `heads`-head attention."""
+    queries: int = 4
+    depth: int = 1
+    heads: int = 4
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.d_m % self.heads:
+            raise ValidationError(f"d_m={self.d_m} not divisible by heads {self.heads}")
 
 
 def check_identity_dims(config: ConnectorConfig):
@@ -38,8 +53,12 @@ def check_identity_dims(config: ConnectorConfig):
 
 class Connector(Module):
     kind = "?"
+    config_class = ConnectorConfig
 
     def __init__(self, config: ConnectorConfig):
+        if type(config) is not self.config_class:
+            raise ValidationError(f"{self.kind} connector takes a {self.config_class.__name__}, "
+                                  f"got {type(config).__name__}")
         self.config = config
 
     def _check_input(self, feats: Tensor):
@@ -117,9 +136,10 @@ class ResamplerConnector(Connector):
     """Learned queries refined by a stack of `block_class` blocks over the features."""
 
     kind = "resampler"
+    config_class = QueryConfig
     block_class = _CrossBlock
 
-    def __init__(self, config: ConnectorConfig, rng: Rng):
+    def __init__(self, config: QueryConfig, rng: Rng):
         super().__init__(config)
         self.query_embed = Tensor(
             rng.split("queries").normal((config.queries, config.d_m), std=INIT_STD),

@@ -189,10 +189,13 @@ def _naming(key: str):
 
 
 def _component(spec, kind: str, default: str, config_cls, **defaults):
-    """(registered name, config) of a component spec; a null spec takes the defaults."""
+    """(registered name, config) of a component spec; a null spec takes the defaults.
+
+    The config is parsed as the factory's `config_class`, or as `config_cls` for
+    a factory that names none."""
     spec = as_object(spec, "spec")
     name = spec.get("name", default)
-    registry.require(kind, name)
+    config_cls = getattr(registry.require(kind, name), "config_class", config_cls)
     config = {**defaults, **as_object(spec.get("config"), "'config'")}
     return name, config_from_dict(config_cls, config)
 
@@ -203,8 +206,8 @@ def resolve_model_config(cfg: dict) -> dict:
     A component spec ("vision", "mof", "llm", "connector") is an object with
     an optional registered "name" and an optional "config" object. Every
     error message starts with the key it is about, an unknown key included.
-    "image_tokens" is accepted and recomputed, so a resolved config resolves
-    to itself.
+    "image_tokens" follows from the components; a stated value must be an
+    integer equal to it, so a resolved config resolves to itself.
     """
     cfg = as_object(cfg, "model config")
     for key in cfg:
@@ -234,7 +237,6 @@ def resolve_model_config(cfg: dict) -> dict:
     with _naming("connector"):
         conn_name, conn_cfg = _component(cfg.get("connector"), "connector", "mlp",
                                          ConnectorConfig, d_v=d_v, d_m=llm_cfg.width)
-        fixed_query = conn_name in ("resampler", "qformer")
         if conn_cfg.d_v != d_v:
             raise ValidationError(f"d_v={conn_cfg.d_v} does not match vision width {d_v}")
         if conn_cfg.d_m != llm_cfg.width:
@@ -242,8 +244,6 @@ def resolve_model_config(cfg: dict) -> dict:
                 f"d_m={conn_cfg.d_m} does not match llm width {llm_cfg.width}")
         if conn_name == "identity":
             check_identity_dims(conn_cfg)
-        if fixed_query and conn_cfg.d_m % conn_cfg.heads:
-            raise ValidationError(f"d_m={conn_cfg.d_m} not divisible by heads {conn_cfg.heads}")
     out["connector"] = {"name": conn_name, "config": asdict(conn_cfg)}
 
     template_name = cfg.get("template", "llava_v1")
@@ -256,8 +256,12 @@ def resolve_model_config(cfg: dict) -> dict:
         raise ValidationError(f"image_aspect_ratio: must be 'square' or 'pad', got {aspect!r}")
     out["image_aspect_ratio"] = aspect
 
-    # Informational: sequence cost of one image in LLM positions.
-    out["image_tokens"] = conn_cfg.queries if fixed_query else n_tokens
+    # The sequence cost of one image in LLM positions.
+    out["image_tokens"] = image_tokens = getattr(conn_cfg, "queries", n_tokens)
+    with _naming("image_tokens"):
+        if require_int("image_tokens", cfg.get("image_tokens", image_tokens)) != image_tokens:
+            raise ValidationError(f"{cfg['image_tokens']} is not the {image_tokens} image tokens "
+                                  "the vision and connector configs give")
     return out
 
 

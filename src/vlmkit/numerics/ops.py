@@ -28,6 +28,7 @@ from ..errors import DimensionError, ValidationError, require_int
 from .tensor import Tensor, record
 
 IGNORE_INDEX = -100
+NORM_EPS = 1e-5     # added to the variance (layer_norm) or mean square (rms_norm)
 
 # gelu: Abramowitz & Stegun 7.1.26, erfc(z) ~ poly(t) * exp(-z^2) with
 # t = 1/(1 + p*z), z >= 0. For z = |x|/sqrt(2) this is
@@ -202,7 +203,7 @@ def softmax(x: Tensor) -> Tensor:
     return record("softmax", out, (x,), bw)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
@@ -214,7 +215,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     xc = xd - mu
     var = np.add.reduce(xc * xc, axis=-1, keepdims=True)
     var /= d
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + NORM_EPS)
     xhat = xc * inv
     out = (xhat * gain.data + bias.data).astype(np.float32)
 
@@ -234,7 +235,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return record("layer_norm", out, (x, gain, bias), bw)
 
 
-def rms_norm(x: Tensor, gain: Tensor, eps: float = 1e-5) -> Tensor:
+def rms_norm(x: Tensor, gain: Tensor) -> Tensor:
     """Scale the last axis to unit root-mean-square, then apply a gain.
 
     Unlike layer_norm nothing is subtracted, so a uniform shift of the
@@ -246,7 +247,7 @@ def rms_norm(x: Tensor, gain: Tensor, eps: float = 1e-5) -> Tensor:
     xd = x.data.astype(np.float64)
     ms = np.add.reduce(xd * xd, axis=-1, keepdims=True)
     ms /= d
-    inv = 1.0 / np.sqrt(ms + eps)
+    inv = 1.0 / np.sqrt(ms + NORM_EPS)
     xhat = xd * inv
     out = (xhat * gain.data).astype(np.float32)
 

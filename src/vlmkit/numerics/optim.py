@@ -9,7 +9,9 @@ slice, which `backward` fills. One update then runs over the flat buffers
 in chunks of `_CHUNK` values: a few large numpy calls instead of one small
 loop body per tensor, with two chunk-sized work buffers for temporaries.
 The arithmetic and its order are those of a per-tensor update, so the
-results are bitwise identical to it.
+results are bitwise identical to it. The moment decay rates and the
+denominator's epsilon are Adam's usual constants (Kingma & Ba 2015); only
+the learning rate and the weight decay are settable.
 """
 
 from __future__ import annotations
@@ -23,10 +25,10 @@ from ..errors import ValidationError, require_int
 from .tensor import Tensor
 
 _CHUNK = 1 << 15
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 # (rule, test) pairs for hyperparameters; NaN fails every test.
 _NON_NEGATIVE = ("finite and >= 0", lambda x: 0 <= x < math.inf)
-_POSITIVE = ("finite and > 0", lambda x: 0 < x < math.inf)
 _FRACTION = ("in [0, 1)", lambda x: 0 <= x < 1)
 
 
@@ -49,18 +51,11 @@ class AdamW:
     """
 
     def __init__(self, params: Sequence[Tuple[str, Tensor]], lr: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
                  weight_decay: float = 0.0):
         _require("lr", lr, _NON_NEGATIVE)
-        _require("beta1", beta1, _FRACTION)
-        _require("beta2", beta2, _FRACTION)
-        _require("eps", eps, _POSITIVE)
         _require("weight_decay", weight_decay, _NON_NEGATIVE)
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.weight_decay = weight_decay
         self.step_count = 0
         seen = set()
@@ -122,11 +117,11 @@ def adamw_step(state: AdamW, lr: Optional[float] = None):
     _gather(state)
     lr = np.float32(state.lr if lr is None else lr)
     t = state.step_count + 1
-    b1, b2 = np.float32(state.beta1), np.float32(state.beta2)
-    c1, c2 = np.float32(1.0 - state.beta1), np.float32(1.0 - state.beta2)
-    bc1 = np.float32(1.0 - state.beta1 ** t)
-    bc2 = np.float32(1.0 - state.beta2 ** t)
-    eps, wd = np.float32(state.eps), np.float32(state.weight_decay)
+    b1, b2 = np.float32(BETA1), np.float32(BETA2)
+    c1, c2 = np.float32(1.0 - BETA1), np.float32(1.0 - BETA2)
+    bc1 = np.float32(1.0 - BETA1 ** t)
+    bc2 = np.float32(1.0 - BETA2 ** t)
+    eps, wd = np.float32(EPS), np.float32(state.weight_decay)
     n = state._flat.size
     for lo in range(0, n, _CHUNK):
         hi = min(lo + _CHUNK, n)

@@ -138,6 +138,9 @@ _QA = [{"from": "human", "value": "<image>\nq"}, {"from": "gpt", "value": "a"}]
                                                          {"from": "gpt", "value": "<image>"}]}],
      "record 0: conversation 'late': '<image>' must appear in the first human turn, "
      "found in turn 1"),
+    ([{"id": "a", "image": "x.ppm", "conversations": _QA},
+      {"id": "b", "image": "y\ud800.ppm", "conversations": _QA}],
+     "record 1: 'image' holds '\\ud800', which UTF-8 cannot encode"),
 ])
 def test_load_dataset_rejects_malformed_records(tmp_path, records, named):
     p = tmp_path / "d.json"
@@ -153,6 +156,14 @@ def test_loaders_name_a_missing_path(tmp_path, loader):
     with pytest.raises(ValidationError) as ei:
         loader(missing)
     assert missing in str(ei.value)
+
+
+def test_load_ppm_names_a_path_utf8_cannot_encode(tmp_path):
+    path = str(tmp_path / "x\ud800.ppm")
+    with pytest.raises(ValidationError) as ei:
+        load_ppm(path)
+    assert str(ei.value) == (f"{path!r}: cannot read, the path holds '\\ud800', "
+                             "which UTF-8 cannot encode")
 
 
 def test_load_dataset_malformed_json(tmp_path):
@@ -271,6 +282,30 @@ def test_template_text_refuses_placeholder_and_unencodable_text(field, text, pro
         ChatTemplate("x", **{field: text})
 
 
+@pytest.mark.parametrize("name, field, value, want", [
+    ("x", "system_message", None, "str"),
+    ("x", "user_prefix", 1, "str"),
+    ("x", "assistant_suffix", b"</s>", "str"),
+    ("x", "add_bos", "yes", "bool"),
+    ("x", "add_bos", 1, "bool"),
+    (None, "name", None, "str"),
+    (7, "name", 7, "str"),
+])
+def test_template_refuses_a_field_of_the_wrong_type(name, field, value, want):
+    fields = {} if field == "name" else {field: value}
+    with pytest.raises(ValidationError) as ei:
+        ChatTemplate(name, **fields)
+    assert str(ei.value) == f"template '{name}': {field} must be a {want}, got {value!r}"
+
+
+def test_template_answer_ends_in_eos_exactly_when_the_suffix_is_empty():
+    conv = Conversation(id="t", turns=[Turn("human", "q"), Turn("assistant", "a")])
+    for suffix, end in (("", [EOS_ID]), ("|", [ord("|")])):
+        sm = tokenize_and_label(conv, ChatTemplate("x", assistant_suffix=suffix), TOK)
+        assert sm.input_ids.tolist()[-2:] == [ord("a")] + end
+        assert EOS_ID not in sm.input_ids.tolist()[:-1]
+
+
 # -- tokenize and label ------------------------------------------------------------
 
 
@@ -311,7 +346,7 @@ def _expected_supervised_count(conv, tpl):
             continue
         total += len(turn.text.encode("utf-8"))
         total += len(tpl.assistant_suffix.encode("utf-8"))
-        if tpl.add_eos_after_assistant:
+        if not tpl.assistant_suffix:
             total += 1
     return total
 
@@ -341,7 +376,7 @@ def _oracle_supervised_spans(conv, tpl):
         else:
             pos += tok_len(tpl.assistant_prefix)
             ln = tok_len(turn.text) + tok_len(tpl.assistant_suffix)
-            if tpl.add_eos_after_assistant:
+            if not tpl.assistant_suffix:
                 ln += 1
             spans.append((pos, pos + ln))
             pos += ln

@@ -4,11 +4,13 @@ The table holds the checks in `src/vlmkit` that no other test reaches, so
 that together with those tests every `raise` in the package runs in tier-1.
 """
 
+import json
+
 import numpy as np
 import pytest
 
-from vlmkit.data import (ByteTokenizer, ChatTemplate, collate, load_dataset, preprocess_image,
-                         write_ppm)
+from vlmkit.data import (ByteTokenizer, ChatTemplate, collate, load_dataset, load_ppm,
+                         preprocess_image, write_ppm)
 from vlmkit.errors import DimensionError, RegistryError, ValidationError
 from vlmkit.model import (LanguageModel, LLMConfig, MultiHeadAttention, VisionTowerConfig,
                           build_model, compose_multimodal)
@@ -26,6 +28,13 @@ def _t(*shape, grad=False):
 def _non_array_dataset(tmp):
     path = tmp / "d.json"
     path.write_text("{}", encoding="utf-8")
+    return load_dataset(str(path))
+
+
+def _surrogate_image_dataset(tmp):
+    path = tmp / "d.json"
+    path.write_text(json.dumps([{"image": "x\ud800.ppm", "conversations": [
+        {"from": "human", "value": "<image>q"}, {"from": "gpt", "value": "a"}]}]))
     return load_dataset(str(path))
 
 
@@ -48,8 +57,11 @@ ERRORS = [
                  id="preprocess-aspect"),
     pytest.param(ValidationError, lambda tmp: collate([], 8), id="collate-empty"),
     pytest.param(ValidationError, lambda tmp: ByteTokenizer().decode([999]), id="decode-id"),
-    pytest.param(ValidationError, lambda tmp: ChatTemplate("t", add_eos_after_assistant=False),
-                 id="template-no-terminator"),
+    pytest.param(ValidationError, lambda tmp: ChatTemplate("t", system_message=None),
+                 id="template-field-type"),
+    pytest.param(ValidationError, lambda tmp: load_ppm(str(tmp / "x\ud800.ppm")),
+                 id="load_ppm-surrogate-path"),
+    pytest.param(ValidationError, _surrogate_image_dataset, id="load_dataset-surrogate-image"),
     pytest.param(ValidationError, lambda tmp: ChatTemplate("t", system_message="look: <image> "),
                  id="template-image"),
     # model configs and layers

@@ -26,7 +26,7 @@ from vlmkit.data import (BOS_ID, BUILTIN_TEMPLATES, IMAGE_ID, IMAGE_PLACEHOLDER,
                          render_prompt, tokenize_and_label, tokenize_prompt)
 from vlmkit.data.conversations import ROLE_ASSISTANT, ROLE_HUMAN
 from vlmkit.errors import VlmkitError
-from vlmkit.model import ConnectorConfig, LLMConfig, VisionTowerConfig, resolve_model_config
+from vlmkit.model import LLMConfig, QueryConfig, VisionTowerConfig, resolve_model_config
 from vlmkit.numerics import lr_schedule
 from vlmkit.numerics.ops import IGNORE_INDEX
 
@@ -64,6 +64,7 @@ QUESTION = [{"from": "human", "value": "<image>\nq"}, {"from": "gpt", "value": "
 @example(records=[{"id": "1"}, {}])
 @example(records=[{"id": "a", "conversations": [{"from": "human", "value": "q\ud800"},
                                                 {"from": "gpt", "value": "a"}]}])
+@example(records=[{"id": "a", "image": "x\ud800.ppm", "conversations": QUESTION}])
 def test_load_dataset_loads_or_names_the_record(tmp_path_factory, records):
     path = tmp_path_factory.getbasetemp() / "fuzz_dataset.json"
     path.write_text(json.dumps(records), encoding="utf-8")
@@ -80,6 +81,8 @@ def test_load_dataset_loads_or_names_the_record(tmp_path_factory, records):
     for i, (rec, conv) in enumerate(zip(records, convs)):
         assert conv.id == rec.get("id", str(i))
         assert conv.image_path is None or (isinstance(conv.image_path, str) and conv.image_path)
+        if conv.image_path is not None:
+            conv.image_path.encode("utf-8")     # a path UTF-8 can encode
         for turn in conv.turns:
             assert turn.role in (ROLE_HUMAN, ROLE_ASSISTANT)
             assert isinstance(turn.text, str)
@@ -201,7 +204,7 @@ def test_tokenize_labels_or_raises(conv, tpl):
     elif last.role == ROLE_ASSISTANT:
         # Cut at the start of the last answer span: its text, suffix and EOS.
         span = (len(TOK.encode(last.text)) + len(TOK.encode(tpl.assistant_suffix))
-                + int(tpl.add_eos_after_assistant))
+                + int(not tpl.assistant_suffix))
         np.testing.assert_array_equal(prompt, ids[:len(ids) - span])
         assert sup[len(ids) - span:].all()
     else:
@@ -344,7 +347,7 @@ def test_collate_batches_or_names_the_sample(case):
 
 # -- resolve_model_config --------------------------------------------------------------
 
-FIELD_NAMES = sorted({f.name for cls in (VisionTowerConfig, LLMConfig, ConnectorConfig)
+FIELD_NAMES = sorted({f.name for cls in (VisionTowerConfig, LLMConfig, QueryConfig)
                       for f in fields(cls)} | {"bogus"})
 FIELD_VALUES = st.integers(-2, 65) | st.sampled_from([8, 16, 32, 64]) | JSON_VALUES
 CONFIGS = st.dictionaries(st.sampled_from(FIELD_NAMES), FIELD_VALUES, max_size=3)
@@ -357,6 +360,7 @@ MODEL_CONFIGS = st.fixed_dictionaries({}, optional={
     "vision": SPECS, "mof": SPECS, "llm": SPECS, "connector": SPECS,
     "template": st.sampled_from(["plain", "llava_v1", "nope"]) | JSON_VALUES,
     "image_aspect_ratio": st.sampled_from(["square", "pad"]) | JSON_VALUES,
+    "image_tokens": st.sampled_from([4, 8, 999]) | JSON_VALUES,
 }) | JSON_VALUES
 
 
@@ -368,6 +372,9 @@ MODEL_CONFIGS = st.fixed_dictionaries({}, optional={
 @example(cfg={"llm": {"config": {"width": True}}})
 @example(cfg={"connector": {"name": "qformer", "config": {"queries": 0}}})
 @example(cfg={"conector": {"name": "qformer"}})
+@example(cfg={"connector": {"name": "mlp", "config": {"queries": 99, "depth": 7, "heads": 3}}})
+@example(cfg={"image_tokens": 999})
+@example(cfg={"mof": {}, "image_tokens": 8})
 @example(cfg={"": None})
 def test_resolve_model_config_resolves_or_names_the_key(cfg):
     try:

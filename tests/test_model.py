@@ -1,5 +1,7 @@
 """Registry, towers, connectors, LLM, composition, and generation."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from vlmkit.model import (
     LanguageModel,
     MlpConnector,
     QFormerConnector,
+    QueryConfig,
     ResamplerConnector,
     VisionTower,
     VisionTowerConfig,
@@ -24,6 +27,7 @@ from vlmkit.model import (
     compose_multimodal,
     generate,
     multimodal,
+    resolve_model_config,
     sequence_loss,
 )
 from vlmkit.model.layers import interleave_rows
@@ -239,8 +243,7 @@ def test_mlp_connector_zero_weights_zero_output():
 
 
 def test_resampler_fixed_query_count():
-    conn = ResamplerConnector(ConnectorConfig(d_v=16, d_m=24, queries=3, depth=1, heads=2),
-                              Rng(0))
+    conn = ResamplerConnector(QueryConfig(d_v=16, d_m=24, queries=3, depth=1, heads=2), Rng(0))
     for n in (4, 9):
         feats = Tensor(np.random.default_rng(n).normal(size=(n, 16)).astype(np.float32))
         assert conn(feats).shape == (3, 24)
@@ -932,9 +935,9 @@ BAD_MODEL_CONFIGS = [
     ({"llm": {"config": {"max_positions": 0}}}, "llm: LLMConfig.max_positions"),
     ({"vision": {"config": {"image_size": 0}}}, "vision: VisionTowerConfig.image_size"),
     ({"connector": {"name": "qformer", "config": {"queries": 0}}},
-     "connector: ConnectorConfig.queries"),
+     "connector: QueryConfig.queries"),
     ({"connector": {"name": "resampler", "config": {"depth": -2}}},
-     "connector: ConnectorConfig.depth"),
+     "connector: QueryConfig.depth"),
     ({"connector": {"name": "qformer", "config": {"heads": 3}}},
      "connector: d_m=64 not divisible by heads 3"),
     ({"vision": "clip_tiny"}, "vision: spec must be an object, got str"),
@@ -952,6 +955,16 @@ BAD_MODEL_CONFIGS = [
      "llm: unknown llm component 'llama_tiny'; available: phi_tiny"),
     ({"vision": {"name": "siglip_tiny"}},
      "vision: unknown vision component 'siglip_tiny'; available: clip_tiny, dino_tiny"),
+    ({"connector": {"name": "mlp", "config": {"queries": 99, "depth": 7, "heads": 3}}},
+     "connector: unknown ConnectorConfig keys: depth, heads, queries"),
+    ({"connector": {"name": "identity", "config": {"heads": 2}}},
+     "connector: unknown ConnectorConfig keys: heads"),
+    ({"image_tokens": 999}, "image_tokens: 999 is not the 4 image tokens"),
+    ({"connector": {"name": "qformer", "config": {"queries": 3}}, "image_tokens": 4},
+     "image_tokens: 4 is not the 3 image tokens"),
+    ({"image_tokens": "4"}, "image_tokens: image_tokens must be an integer, got '4'"),
+    ({"image_tokens": 4.0}, "image_tokens: image_tokens must be an integer, got 4.0"),
+    ({"image_tokens": True}, "image_tokens: image_tokens must be an integer, got True"),
 ]
 
 
@@ -967,7 +980,7 @@ def test_build_model_rejects_bad_config_naming_the_key(cfg, message):
     (VisionTowerConfig, "depth", -1),
     (LLMConfig, "heads", True),
     (LLMConfig, "max_positions", 0),
-    (ConnectorConfig, "queries", 0),
+    (QueryConfig, "queries", 0),
     (ConnectorConfig, "d_v", "64"),
 ])
 def test_config_construction_checks_fields(config_cls, field, value):
@@ -979,6 +992,65 @@ def test_config_construction_checks_fields(config_cls, field, value):
 def test_config_fields_take_a_numpy_integer_as_the_int():
     width = VisionTowerConfig(width=np.int64(32), heads=2).width
     assert type(width) is int and width == 32
+
+
+@pytest.mark.parametrize("cfg, derived", [
+    ({}, 4),
+    ({"mof": {}}, 8),
+    ({"connector": {"name": "qformer", "config": {"queries": 3}}}, 3),
+])
+def test_image_tokens_follow_from_the_components_and_may_be_restated(cfg, derived):
+    assert resolve_model_config(cfg)["image_tokens"] == derived
+    assert resolve_model_config({**cfg, "image_tokens": derived})["image_tokens"] == derived
+
+
+@pytest.mark.parametrize("cls, config, want", [
+    (MlpConnector, QueryConfig(), "mlp connector takes a ConnectorConfig, got QueryConfig"),
+    (ResamplerConnector, ConnectorConfig(),
+     "resampler connector takes a QueryConfig, got ConnectorConfig"),
+    (QFormerConnector, ConnectorConfig(),
+     "qformer connector takes a QueryConfig, got ConnectorConfig"),
+])
+def test_connector_refuses_a_config_of_another_class(cls, config, want):
+    with pytest.raises(ValidationError, match=f"^{want}$"):
+        cls(config, Rng(0))
+
+
+# A small valid config per kind, and per field a second value that keeps it valid.
+FIELD_VALUES = {
+    "vision": ({"image_size": 16, "patch_size": 8, "width": 32, "depth": 1, "heads": 2},
+               {"image_size": 24, "patch_size": 4, "width": 48, "depth": 2, "heads": 4}),
+    "llm": ({"width": 32, "depth": 1, "heads": 2, "max_positions": 16},
+            {"width": 48, "depth": 2, "heads": 4, "max_positions": 24}),
+    "connector": ({"d_v": 32, "d_m": 32, "queries": 3, "depth": 1, "heads": 2},
+                  {"d_v": 48, "d_m": 48, "queries": 5, "depth": 2, "heads": 4}),
+}
+
+
+def _built_signature(kind, name, cfg):
+    """Parameter shapes, then the forward output's shape and bytes on a fixed input
+    sized for `cfg`, of the component `name` built from `cfg`."""
+    component = registry.create(kind, name, cfg, Rng(0))
+    rng = np.random.default_rng(0)
+    if kind == "vision":
+        x = rng.uniform(-1, 1, (3, cfg["image_size"], cfg["image_size"])).astype(np.float32)
+    else:
+        x = Tensor(rng.normal(size=(5, cfg["width" if kind == "llm" else "d_v"]))
+                   .astype(np.float32))
+    out = component(x).data
+    return [t.shape for t in component.parameters()], out.shape, out.tobytes()
+
+
+@pytest.mark.parametrize("kind, name, field", [
+    (kind, name, f.name) for kind in FIELD_VALUES for name in registry.names(kind)
+    for f in fields(registry.require(kind, name).config_class)])
+def test_every_config_field_changes_the_built_component(kind, name, field):
+    base, other = FIELD_VALUES[kind]
+    a = {f.name: base[f.name] for f in fields(registry.require(kind, name).config_class)}
+    b = {**a, field: other[field]}
+    if name == "identity":      # d_v == d_m, so the two change together
+        b.update(d_v=other[field], d_m=other[field])
+    assert _built_signature(kind, name, a) != _built_signature(kind, name, b)
 
 
 def test_build_model_deterministic_from_seed():

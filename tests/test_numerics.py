@@ -43,6 +43,7 @@ from vlmkit.numerics import (
     tsum,
 )
 from vlmkit.numerics import optim
+from vlmkit.numerics.ops import NORM_EPS
 
 
 def rand(shape, seed, lo=-2.0, hi=2.0):
@@ -230,8 +231,10 @@ def test_layer_norm_constant_input_is_zero():
 
 
 def test_layer_norm_two_point_analytic():
-    out = layer_norm(Tensor([1.0, 3.0]), Tensor([1.0, 1.0]), Tensor([0.0, 0.0]), eps=0.0)
-    np.testing.assert_allclose(out.data, [-1.0, 1.0], atol=1e-6)
+    # Mean 2 and variance 1, so each point is +-1 / sqrt(1 + NORM_EPS).
+    out = layer_norm(Tensor([1.0, 3.0]), Tensor([1.0, 1.0]), Tensor([0.0, 0.0]))
+    np.testing.assert_allclose(out.data, np.array([-1.0, 1.0]) / np.sqrt(1.0 + NORM_EPS),
+                               atol=1e-6)
 
 
 def test_layer_norm_grads():
@@ -323,9 +326,11 @@ def test_rms_norm_matches_mean_oracle_bitwise(shape):
 
 def test_rms_norm_unit_gain_gives_unit_rms_rows():
     x = Tensor(rand((4, 7), seed=18))
-    out = rms_norm(x, Tensor(np.ones(7)), eps=0.0)
+    out = rms_norm(x, Tensor(np.ones(7)))
+    # A row of mean square ms comes out with RMS sqrt(ms / (ms + NORM_EPS)).
+    ms = (x.data.astype(np.float64) ** 2).mean(axis=-1)
     np.testing.assert_allclose(np.sqrt((out.data.astype(np.float64) ** 2).mean(axis=-1)),
-                               np.ones(4), atol=1e-6)
+                               np.sqrt(ms / (ms + NORM_EPS)), atol=1e-6)
 
 
 def test_rms_norm_sees_uniform_shift():
@@ -849,11 +854,12 @@ def test_adamw_shape_mismatch_names_the_parameter(field):
     ({"lr": -1.0}, "lr"),
     ({"lr": float("nan")}, "lr"),
     ({"lr": float("inf")}, "lr"),
-    ({"beta1": 1.5}, "beta1"),
-    ({"beta1": 1.0}, "beta1"),
-    ({"beta2": -0.1}, "beta2"),
-    ({"eps": 0.0}, "eps"),
-    ({"eps": "tiny"}, "eps"),
+    # Other bad values of the kept knobs, in the rows of the removed betas and eps.
+    ({"lr": "fast"}, "lr"),
+    ({"lr": None}, "lr"),
+    ({"weight_decay": float("inf")}, "weight_decay"),
+    ({"weight_decay": "none"}, "weight_decay"),
+    ({"step_lr": float("inf")}, "lr"),
     ({"weight_decay": -0.01}, "weight_decay"),
     ({"weight_decay": float("nan")}, "weight_decay"),
     ({"step_lr": -0.5}, "lr"),

@@ -1,0 +1,119 @@
+"""Alternating parent/change benchmark pairs, summarised per end-to-end metric.
+
+Usage:
+    python3 tools/pairs.py --parent DIR --change DIR --workload W --seeds A-B [--seconds S]
+
+For each seed N in A..B (inclusive) it runs
+`bench/run.py --workload W --seed N --seconds S` from both trees, one after
+the other. Which tree runs first alternates from seed to seed, starting
+with the parent. A run's result is the last line of its standard output,
+one JSON object (see `bench/run.py`); a run that exits non-zero stops the
+tool with its error output.
+
+It prints every run's `failed` and end-to-end metrics (`setup_s` among
+them), then one row per end-to-end metric listed in the change tree's
+`BENCHMARK.json`:
+  - the parent's median with its quartiles (inclusive method);
+  - the change's median and its relative difference;
+  - the pairs the change won, ties counting for neither side;
+  - whether the change's median stays within the metric's bound, a
+    relative worsening of at most `bound` from the parent's median.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+from typing import Dict, List, Sequence, Tuple
+
+Run = Dict    # one run's last JSON line: {"failed": ..., "metrics": {name: {"value": ...}}}
+
+
+def parse_seeds(text: str) -> List[int]:
+    """'A-B' as the seeds A..B inclusive, or 'A' as [A]."""
+    low, _, high = text.partition("-")
+    seeds = list(range(int(low), int(high or low) + 1))
+    if not seeds:
+        raise ValueError(f"empty seed range {text!r}")
+    return seeds
+
+
+def summarize(pairs: Sequence[Tuple[Run, Run]], metrics: Sequence[Dict]) -> List[Dict]:
+    """One row per metric over (parent, change) result pairs.
+
+    `metrics` are BENCHMARK.json's `end_to_end` entries (name, better, bound).
+    A row holds the parent's median and quartiles, the change's median, the
+    pairs the change won and the number of pairs, and `within`: whether the
+    change's median is no worse than the parent's by more than `bound`.
+    """
+    rows = []
+    for metric in metrics:
+        name, lower = metric["name"], metric["better"] == "lower"
+        parent = [p["metrics"][name]["value"] for p, _ in pairs]
+        change = [c["metrics"][name]["value"] for _, c in pairs]
+        q1, median, q3 = (statistics.quantiles(parent, n=4, method="inclusive")
+                          if len(parent) > 1 else parent * 3)
+        change_median = statistics.median(change)
+        won = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
+        limit = median * (1 + metric["bound"] if lower else 1 - metric["bound"])
+        rows.append({"name": name, "parent_median": median, "parent_q1": q1, "parent_q3": q3,
+                     "change_median": change_median, "won": won, "pairs": len(pairs),
+                     "within": change_median <= limit if lower else change_median >= limit})
+    return rows
+
+
+def format_rows(rows: Sequence[Dict]) -> List[str]:
+    """The rows of `summarize` as a table, one line per metric."""
+    lines = ["metric           parent median [q1, q3]           change median (diff)"
+             "     won  within bound"]
+    for r in rows:
+        diff = r["change_median"] / r["parent_median"] - 1 if r["parent_median"] else 0.0
+        parent = f"{r['parent_median']:.6g} [{r['parent_q1']:.6g}, {r['parent_q3']:.6g}]"
+        change = f"{r['change_median']:.6g} ({diff:+.1%})"
+        lines.append(f"{r['name']:<16} {parent:<32} {change:<24} {r['won']:>2}/{r['pairs']:<2}  "
+                     + ("yes" if r["within"] else "NO"))
+    return lines
+
+
+def run_once(tree: str, workload: str, seed: int, seconds: float) -> Run:
+    cmd = [sys.executable, os.path.join(tree, "bench", "run.py"), "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds)]
+    done = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    lines = done.stdout.strip().splitlines()
+    if done.returncode or not lines:
+        sys.exit(f"{tree}: seed {seed} exited {done.returncode}\n{done.stderr}")
+    return json.loads(lines[-1])
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--parent", required=True)
+    ap.add_argument("--change", required=True)
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--seeds", required=True, type=parse_seeds)
+    ap.add_argument("--seconds", type=float, default=20.0)
+    args = ap.parse_args(argv)
+    with open(os.path.join(args.change, "BENCHMARK.json"), encoding="utf-8") as fh:
+        metrics = json.load(fh)["end_to_end"]
+
+    pairs = []
+    for i, seed in enumerate(args.seeds):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        runs = {side: run_once(getattr(args, side), args.workload, seed, args.seconds)
+                for side in order}
+        pairs.append((runs["parent"], runs["change"]))
+        print(f"{args.workload} seed {seed}, {order[0]} first", flush=True)
+        for side in ("parent", "change"):
+            values = " ".join(f"{m['name']} {runs[side]['metrics'][m['name']]['value']:.6g}"
+                              for m in metrics)
+            print(f"  {side:<6} failed {runs[side]['failed']} {values}", flush=True)
+    print("\n".join(format_rows(summarize(pairs, metrics))))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
