@@ -9,10 +9,17 @@ comments, then exactly one whitespace byte before the pixel data. A comment
 runs through the next newline and may follow a field directly. Whitespace
 is space, tab, CR, LF, VT or FF. Width and height must be positive and
 maxval 255.
+
+`bilinear_resize` reads its source indices and weights from `_taps`, one
+call per axis, cached by (input size, output size) for that axis alone: a
+dataset of mixed image sizes adds one entry per distinct height or width,
+not one per (H, W) pair. The cache keeps the 64 most recently used axes,
+and its arrays are read-only, since every call shares them.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 
 import numpy as np
@@ -54,7 +61,10 @@ def load_ppm(path: str) -> np.ndarray:
         raise ValidationError(f"{path}: truncated PPM data, want {need} bytes got {len(raw)}")
 
     arr = np.frombuffer(raw, dtype=np.uint8).reshape(height, width, 3)
-    return (arr.astype(np.float32) / 255.0).transpose(2, 0, 1)
+    # One float32 array, channels first in memory too.
+    img = arr.transpose(2, 0, 1).astype(np.float32, order="C")
+    img /= np.float32(255.0)
+    return img
 
 
 def write_ppm(path: str, pixels: np.ndarray):
@@ -68,21 +78,41 @@ def write_ppm(path: str, pixels: np.ndarray):
         fh.write(pixels.tobytes())
 
 
+@functools.lru_cache(maxsize=64)
+def _taps(n_in: int, n_out: int):
+    """Half-pixel-center source taps of one axis: (i0, i1, w), where output
+    position k reads i0[k] with weight 1 - w[k] and i1[k] with weight w[k]."""
+    pos = np.clip((np.arange(n_out) + 0.5) * n_in / n_out - 0.5, 0, n_in - 1)
+    i0 = np.floor(pos).astype(np.int64)
+    i1 = np.minimum(i0 + 1, n_in - 1)
+    w = pos - i0
+    for a in (i0, i1, w):
+        a.flags.writeable = False
+    return i0, i1, w
+
+
 def bilinear_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Half-pixel-center bilinear resize of a [C, H, W] float image."""
-    c, h, w = img.shape
+    """Half-pixel-center bilinear resize of a [C, H, W] image to float32
+    [C, out_h, out_w], weighted in float64; a same-size image is copied."""
+    out_h = require_int("out_h", out_h, 1)
+    out_w = require_int("out_w", out_w, 1)
+    if not isinstance(img, np.ndarray) or img.ndim != 3:
+        raise ValidationError(f"img must be a [C, H, W] array, "
+                              f"got {getattr(img, 'shape', type(img).__name__)}")
+    _, h, w = img.shape
+    if h == 0 or w == 0:
+        raise ValidationError(f"img must have a non-zero height and width, got {img.shape}")
     if h == out_h and w == out_w:
         return img.astype(np.float32, copy=True)
-    ys = np.clip((np.arange(out_h) + 0.5) * h / out_h - 0.5, 0, h - 1)
-    xs = np.clip((np.arange(out_w) + 0.5) * w / out_w - 0.5, 0, w - 1)
-    y0 = np.floor(ys).astype(np.int64)
-    x0 = np.floor(xs).astype(np.int64)
-    y1 = np.minimum(y0 + 1, h - 1)
-    x1 = np.minimum(x0 + 1, w - 1)
-    wy = (ys - y0)[None, :, None]
-    wx = (xs - x0)[None, None, :]
-    top = img[:, y0][:, :, x0] * (1 - wx) + img[:, y0][:, :, x1] * wx
-    bot = img[:, y1][:, :, x0] * (1 - wx) + img[:, y1][:, :, x1] * wx
+    y0, y1, wy = _taps(h, out_h)
+    x0, x1, wx = _taps(w, out_w)
+    wy = wy[:, None]
+
+    def columns(rows):
+        return rows.take(x0, axis=2) * (1 - wx) + rows.take(x1, axis=2) * wx
+
+    top = columns(img.take(y0, axis=1))
+    bot = columns(img.take(y1, axis=1))
     return (top * (1 - wy) + bot * wy).astype(np.float32)
 
 
@@ -112,5 +142,5 @@ def preprocess_image(img: np.ndarray, target: int, aspect_mode: str = "square") 
         canvas[:, top:top + h, left:left + w] = img
         img = canvas
 
-    resized = bilinear_resize(img.astype(np.float32), target, target)
+    resized = bilinear_resize(img.astype(np.float32, copy=False), target, target)
     return (resized - PIXEL_MEAN) / PIXEL_STD

@@ -48,6 +48,11 @@ EXIST_COLOR_QUESTION = "Is there a {} shape in the image?"
 _BG = 26
 _GRID = 46
 
+# Row and column index of every pixel, shared by all samples.
+_YY, _XX = np.mgrid[0:IMAGE_SIDE, 0:IMAGE_SIDE]
+_YY.flags.writeable = False
+_XX.flags.writeable = False
+
 
 def _draw_scene(color: str, shape: str, quadrant: int, rng: Rng) -> np.ndarray:
     img = np.full((IMAGE_SIDE, IMAGE_SIDE, 3), _BG, dtype=np.uint8)
@@ -60,14 +65,13 @@ def _draw_scene(color: str, shape: str, quadrant: int, rng: Rng) -> np.ndarray:
     size = int(rng.choice((10, 12)))
     half = size // 2
 
-    yy, xx = np.mgrid[0:IMAGE_SIDE, 0:IMAGE_SIDE]
     if shape == "square":
-        mask = (np.abs(yy - cy) <= half) & (np.abs(xx - cx) <= half)
+        mask = (np.abs(_YY - cy) <= half) & (np.abs(_XX - cx) <= half)
     elif shape == "circle":
-        mask = (yy - cy) ** 2 + (xx - cx) ** 2 <= half * half
+        mask = (_YY - cy) ** 2 + (_XX - cx) ** 2 <= half * half
     else:  # triangle, apex up
-        rel = yy - (cy - half)
-        mask = (rel >= 0) & (rel <= size) & (np.abs(xx - cx) * 2 <= rel)
+        rel = _YY - (cy - half)
+        mask = (rel >= 0) & (rel <= size) & (np.abs(_XX - cx) * 2 <= rel)
     img[mask] = COLORS[color]
     return img
 
@@ -132,6 +136,5 @@ def synth_vqa_generate(out_dir: str, n: int, seed: int, split: str) -> str:
         records.append(record)
     json_path = os.path.join(out_dir, f"{split}.json")
     with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(records, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(records, indent=2, sort_keys=True) + "\n")
     return json_path

@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import DimensionError, ValidationError, require_int
-from .tensor import Tensor, record
+from .tensor import Tensor, record, taped
 
 IGNORE_INDEX = -100
 NORM_EPS = 1e-5     # added to the variance (layer_norm) or mean square (rms_norm)
@@ -116,8 +116,9 @@ def gelu(x: Tensor) -> Tensor:
     negative tail keeps its relative accuracy. Output and gradient are
     within 2e-6 of x * Phi(x) and Phi(x) + x * phi(x) computed with
     math.erf, on [-10, 10]; beyond it, gelu(x) is x, or under 1e-22 in
-    magnitude. The forward also forms the derivative from the same Phi and
-    exp(-x^2/2), and the backward multiplies by it.
+    magnitude. When the result is taped, the forward also forms the
+    derivative from the same Phi and exp(-x^2/2), and the backward
+    multiplies by it.
     """
     xd = x.data
     a = np.minimum(np.abs(xd), _GELU_CLAMP)
@@ -138,6 +139,8 @@ def gelu(x: Tensor) -> Tensor:
     cdf += np.float32(0.5)
     cdf -= h
     out = xd * cdf
+    if not taped((x,)):
+        return record("gelu", out, (x,), None)
     # d/dx x*Phi(x) = Phi(x) + x*phi(x), phi(x) = exp(-x^2/2) / sqrt(2 pi).
     slope = np.multiply(e, _INV_SQRT_2PI, out=e)
     slope *= xd

@@ -175,10 +175,18 @@ class Tensor:
         return ops.tsum(self)
 
 
+def taped(inputs: Sequence[Tensor]) -> bool:
+    """Whether an op on `inputs` is recorded: gradients are live and an input
+    requires one."""
+    return _grad_enabled and any(t.requires_grad for t in inputs)
+
+
 def record(op: str, out_data: np.ndarray, inputs: Sequence[Tensor],
-           backward_fn: Callable[[np.ndarray], Sequence[Optional[np.ndarray]]]) -> Tensor:
-    """Wrap an op result, attaching a graph node when gradients are live."""
-    needs = _grad_enabled and any(t.requires_grad for t in inputs)
+           backward_fn: Optional[Callable[[np.ndarray], Sequence[Optional[np.ndarray]]]]
+           ) -> Tensor:
+    """Wrap an op result, attaching a graph node when `taped(inputs)`; an op
+    that checked `taped` itself may pass no `backward_fn` when it is not."""
+    needs = taped(inputs)
     out = Tensor.__new__(Tensor)
     out.data = out_data
     out.requires_grad = needs

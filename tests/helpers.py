@@ -1,4 +1,5 @@
-"""Shared test helpers: random multilingual conversations, the fuzz profile."""
+"""Shared test helpers: random multilingual conversations, the fuzz profile, the
+reference bilinear resize."""
 
 import numpy as np
 from hypothesis import settings
@@ -39,3 +40,22 @@ def random_conversation(rng: np.random.Generator, conv_id="c", with_image=None) 
         image_path="images/x.ppm" if with_image else None,
         turns=turns,
     )
+
+
+def reference_bilinear_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+    """Half-pixel-center bilinear resize with its positions, taps and weights
+    rebuilt on every call; `bilinear_resize` must match it bit for bit."""
+    c, h, w = img.shape
+    if h == out_h and w == out_w:
+        return img.astype(np.float32, copy=True)
+    ys = np.clip((np.arange(out_h) + 0.5) * h / out_h - 0.5, 0, h - 1)
+    xs = np.clip((np.arange(out_w) + 0.5) * w / out_w - 0.5, 0, w - 1)
+    y0 = np.floor(ys).astype(np.int64)
+    x0 = np.floor(xs).astype(np.int64)
+    y1 = np.minimum(y0 + 1, h - 1)
+    x1 = np.minimum(x0 + 1, w - 1)
+    wy = (ys - y0)[None, :, None]
+    wx = (xs - x0)[None, None, :]
+    top = img[:, y0][:, :, x0] * (1 - wx) + img[:, y0][:, :, x1] * wx
+    bot = img[:, y1][:, :, x0] * (1 - wx) + img[:, y1][:, :, x1] * wx
+    return (top * (1 - wy) + bot * wy).astype(np.float32)

@@ -1,5 +1,6 @@
 """Dataset loading, templating, tokenization/masking, images, synthesis."""
 
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import random_conversation
+from helpers import random_conversation, reference_bilinear_resize
 from vlmkit.data import (
     ANSWER_VOCABULARY,
     BOS_ID,
@@ -20,6 +21,7 @@ from vlmkit.data import (
     IMAGE_ID,
     PAD_ID,
     Turn,
+    bilinear_resize,
     collate,
     load_dataset,
     load_ppm,
@@ -599,8 +601,68 @@ def test_preprocess_rejects_zero_size():
 def test_bilinear_same_size_is_identity():
     rng = np.random.default_rng(6)
     img = rng.uniform(0, 1, size=(3, 7, 7)).astype(np.float32)
-    from vlmkit.data import bilinear_resize
     np.testing.assert_array_equal(bilinear_resize(img, 7, 7), img)
+
+
+def _image(channels, h, w, layout, seed=8):
+    """Random float32 pixels, C-contiguous or laid out as a transposed [H, W, C]
+    buffer, the layout of an HWC array viewed channel first."""
+    pixels = np.random.default_rng(seed).uniform(0, 1, size=(h, w, channels)).astype(np.float32)
+    img = pixels.transpose(2, 0, 1)
+    return np.ascontiguousarray(img) if layout == "contiguous" else img
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "transposed"])
+@pytest.mark.parametrize("channels", [1, 3, 4])
+@pytest.mark.parametrize("h, w, out_h, out_w", [
+    (32, 32, 16, 16),       # down, the ingest shape
+    (8, 8, 24, 24),         # up
+    (7, 7, 7, 7),           # identity
+    (1, 1, 4, 4),           # one pixel up
+    (6, 6, 1, 1),           # to one pixel
+    (5, 9, 3, 11),          # non-square, down one axis and up the other
+    (12, 5, 12, 8),         # one axis kept
+])
+def test_bilinear_resize_matches_the_reference_bit_for_bit(layout, channels, h, w, out_h, out_w):
+    img = _image(channels, h, w, layout)
+    out = bilinear_resize(img, out_h, out_w)
+    want = reference_bilinear_resize(img, out_h, out_w)
+    assert out.dtype == np.float32 and out.shape == (channels, out_h, out_w)
+    assert out.tobytes() == want.tobytes()
+
+
+def test_bilinear_resize_taps_are_read_only_and_cached_per_axis():
+    from vlmkit.data.images import _taps
+    _taps.cache_clear()
+    bilinear_resize(_image(3, 32, 24, "contiguous"), 16, 16)
+    bilinear_resize(_image(3, 24, 32, "contiguous"), 16, 16)
+    info = _taps.cache_info()
+    assert (info.currsize, info.hits, info.misses) == (2, 2, 2)
+    for tap in _taps(32, 16):
+        assert not tap.flags.writeable
+        with pytest.raises(ValueError):
+            tap[0] = 0
+
+
+def test_bilinear_resize_output_is_the_callers_own():
+    img = _image(3, 32, 32, "transposed")
+    first = bilinear_resize(img, 16, 16)
+    want = first.copy()
+    first[...] = 7.0
+    assert bilinear_resize(img, 16, 16).tobytes() == want.tobytes()
+    same = bilinear_resize(img, 32, 32)
+    same[...] = 7.0
+    assert bilinear_resize(img, 32, 32).tobytes() == img.tobytes()
+
+
+def test_load_ppm_is_channel_first_contiguous_bytes_over_255(tmp_path):
+    pixels = np.arange(256 * 3, dtype=np.uint32).astype(np.uint8).reshape(16, 16, 3)
+    p = tmp_path / "all.ppm"
+    write_ppm(str(p), pixels)
+    img = load_ppm(str(p))
+    want = (pixels.astype(np.float32) / np.float32(255.0)).transpose(2, 0, 1)
+    assert img.dtype == np.float32 and img.flags.c_contiguous
+    assert img.tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 # -- synthetic VQA ------------------------------------------------------------------
@@ -614,6 +676,20 @@ def test_synth_deterministic(tmp_path):
     for i in range(4):
         name = f"images/train_{i:05d}.ppm"
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+@pytest.mark.parametrize("split, digest", [
+    ("train", "e363ce6ff69bb547953db70bd44ad0d2e76ea467153e88a9cb9ccf6ca6031838"),
+    ("heldout", "2147256d454aa566f6b0b26aaf37a9efdc5b0ffe075f385cdd9e331a3652b2fd"),
+])
+def test_synth_split_bytes_are_pinned(tmp_path, split, digest):
+    # Seed 1's first 8 samples of each split draw all three shapes; the digest
+    # covers the JSON and then every image in index order.
+    path = synth_vqa_generate(str(tmp_path), n=8, seed=1, split=split)
+    h = hashlib.sha256(Path(path).read_bytes())
+    for i in range(8):
+        h.update((tmp_path / "images" / f"{split}_{i:05d}.ppm").read_bytes())
+    assert h.hexdigest() == digest
 
 
 def test_synth_answers_in_closed_vocabulary():

@@ -9,8 +9,8 @@ import json
 import numpy as np
 import pytest
 
-from vlmkit.data import (ByteTokenizer, ChatTemplate, collate, load_dataset, load_ppm,
-                         preprocess_image, write_ppm)
+from vlmkit.data import (ByteTokenizer, ChatTemplate, bilinear_resize, collate, load_dataset,
+                         load_ppm, preprocess_image, write_ppm)
 from vlmkit.errors import DimensionError, RegistryError, ValidationError
 from vlmkit.model import (LanguageModel, LLMConfig, MultiHeadAttention, VisionTowerConfig,
                           build_model, compose_multimodal)
@@ -137,6 +137,24 @@ def test_bad_input_raises_its_error(error, call, tmp_path):
     with pytest.raises(error) as ei:
         call(tmp_path)
     assert type(ei.value) is error, repr(ei.value)
+
+
+@pytest.mark.parametrize("img, out_h, out_w, name", [
+    pytest.param(np.zeros((3, 4, 4)), 0, 2, "out_h", id="out_h-0"),
+    pytest.param(np.zeros((3, 4, 4)), -1, 2, "out_h", id="out_h-neg"),
+    pytest.param(np.zeros((3, 4, 4)), 2.5, 2, "out_h", id="out_h-float"),
+    pytest.param(np.zeros((3, 4, 4)), True, 2, "out_h", id="out_h-bool"),
+    pytest.param(np.zeros((3, 4, 4)), 2, 0, "out_w", id="out_w-0"),
+    pytest.param(np.zeros((3, 4, 4)), 2, "2", "out_w", id="out_w-str"),
+    pytest.param(np.zeros((4, 4)), 2, 2, "img", id="img-2d"),
+    pytest.param([[[0.0]]], 2, 2, "img", id="img-list"),
+    pytest.param(np.zeros((3, 0, 4)), 2, 2, "img", id="img-zero-height"),
+    pytest.param(np.zeros((3, 4, 0)), 2, 2, "img", id="img-zero-width"),
+])
+def test_bilinear_resize_refuses_by_name(img, out_h, out_w, name):
+    with pytest.raises(ValidationError) as ei:
+        bilinear_resize(img, out_h, out_w)
+    assert type(ei.value) is ValidationError and str(ei.value).startswith(name), str(ei.value)
 
 
 @pytest.mark.parametrize("call, prefix", [

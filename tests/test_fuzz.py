@@ -4,8 +4,10 @@ For any input, `load_dataset` and `load_ppm` either return a well-formed
 result or raise a `VlmkitError` that names the record or the file;
 `tokenize_and_label` and `tokenize_prompt` either raise a `VlmkitError` or
 return ids and labels that agree with each other and with the template;
-`collate` either batches its samples or raises a `VlmkitError` that names
-the sample (or `pad_to`, when that is not an integer of at least 1); `resolve_model_config`
+`bilinear_resize` either matches the reference resize bit for bit or raises
+a `VlmkitError` that starts with the bad argument; `collate` either batches
+its samples or raises a `VlmkitError` that names the sample (or `pad_to`,
+when that is not an integer of at least 1); `resolve_model_config`
 either resolves a config or raises a `VlmkitError` that starts with the key
 it is about; `lr_schedule` either keeps its endpoints (exactly `peak_lr`
 where warmup ends, exactly 0 at `total_steps`) or raises a `VlmkitError`
@@ -20,10 +22,11 @@ from dataclasses import fields
 import numpy as np
 from hypothesis import example, given, strategies as st
 
-from helpers import FUZZ
+from helpers import FUZZ, reference_bilinear_resize
 from vlmkit.data import (BOS_ID, BUILTIN_TEMPLATES, IMAGE_ID, IMAGE_PLACEHOLDER, PAD_ID,
-                         ByteTokenizer, Conversation, Turn, collate, load_dataset, load_ppm,
-                         render_prompt, tokenize_and_label, tokenize_prompt)
+                         ByteTokenizer, Conversation, Turn, bilinear_resize, collate,
+                         load_dataset, load_ppm, render_prompt, tokenize_and_label,
+                         tokenize_prompt)
 from vlmkit.data.conversations import ROLE_ASSISTANT, ROLE_HUMAN
 from vlmkit.errors import VlmkitError
 from vlmkit.model import LLMConfig, QueryConfig, VisionTowerConfig, resolve_model_config
@@ -132,6 +135,37 @@ def test_load_ppm_loads_or_names_the_field(tmp_path_factory, magic, width, heigh
     assert ints and magic == b"P6" and maxval == 255
     assert img.shape == (3, height, width) and height >= 1 and width >= 1
     assert img.min() >= 0.0 and img.max() <= 1.0
+
+
+# -- bilinear_resize -------------------------------------------------------------------
+
+SIDES = st.integers(0, 12)
+OUT_SIDES = st.integers(-1, 12) | st.sampled_from([2.5, True, "4", None])
+
+
+@FUZZ
+@given(channels=st.sampled_from([1, 3, 4]), h=SIDES, w=SIDES, out_h=OUT_SIDES, out_w=OUT_SIDES,
+       transposed=st.booleans(), seed=st.integers(0, 2 ** 16))
+@example(channels=3, h=32, w=32, out_h=16, out_w=16, transposed=True, seed=0)
+@example(channels=1, h=1, w=1, out_h=4, out_w=4, transposed=False, seed=0)
+@example(channels=3, h=0, w=4, out_h=2, out_w=2, transposed=False, seed=0)
+def test_bilinear_resize_matches_the_reference_or_names_the_argument(channels, h, w, out_h,
+                                                                     out_w, transposed, seed):
+    pixels = np.random.default_rng(seed).uniform(0, 1, size=(h, w, channels)).astype(np.float32)
+    img = pixels.transpose(2, 0, 1)
+    if not transposed:
+        img = np.ascontiguousarray(img)
+    try:
+        out = bilinear_resize(img, out_h, out_w)
+    except VlmkitError as exc:
+        bad = [name for name, v in (("out_h", out_h), ("out_w", out_w))
+               if isinstance(v, bool) or not isinstance(v, int) or v < 1]
+        if h == 0 or w == 0:
+            bad.append("img")
+        assert bad and str(exc).startswith(bad[0]), str(exc)
+        return
+    assert out.tobytes() == reference_bilinear_resize(img, out_h, out_w).tobytes()
+    assert out.shape == (channels, out_h, out_w) and out.dtype == np.float32
 
 
 # -- tokenize_and_label, tokenize_prompt -----------------------------------------------

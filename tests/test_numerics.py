@@ -42,7 +42,7 @@ from vlmkit.numerics import (
     transpose,
     tsum,
 )
-from vlmkit.numerics import optim
+from vlmkit.numerics import ops, optim
 from vlmkit.numerics.ops import NORM_EPS
 
 
@@ -142,6 +142,23 @@ def test_gelu_finite_extremes_raise_no_warning():
     np.testing.assert_array_equal(grad[:4], [1.0, 1.0, 0.0, 0.0])
     assert np.all(np.abs(out[4:]) <= np.abs(np.float32(tiny)))
     np.testing.assert_allclose(grad[4:], [0.5, 0.5, 0.5], atol=1e-6)
+
+
+def test_gelu_untaped_forward_is_bit_identical_and_forms_no_derivative(monkeypatch):
+    values = np.concatenate([np.linspace(-10.0, 10.0, 2001), [0.0, -0.0, 16.1, -16.1]])
+    x = Tensor(values.astype(np.float32), requires_grad=True)
+    taped = gelu(x)
+    assert taped._node is not None
+    # The derivative is the only user of 1/sqrt(2 pi); forming it now raises.
+    monkeypatch.setattr(ops, "_INV_SQRT_2PI", None)
+    with no_grad():
+        untaped = gelu(x)
+    frozen = gelu(Tensor(x.data))
+    for out in (untaped, frozen):
+        assert out._node is None and not out.requires_grad
+        assert out.data.tobytes() == taped.data.tobytes()
+    with pytest.raises(TypeError):
+        gelu(x)
 
 
 def test_add_simple():

@@ -30,7 +30,7 @@ def test_summary_medians_quartiles_wins_and_ties():
     latency, tokens = rows
     assert latency == {"name": "latency_ms_p50", "parent_median": 12, "parent_q1": 11,
                        "parent_q3": 13, "change_median": 12, "won": 2, "pairs": 5,
-                       "within": True}
+                       "pair_rule": False, "within": True}
     # Higher is better here; the two equal pairs count for neither side.
     assert tokens["parent_median"] == 90 and tokens["change_median"] == 90
     assert (tokens["parent_q1"], tokens["parent_q3"]) == (85, 95)
@@ -47,6 +47,28 @@ def test_summary_bound_is_relative_to_the_parent_median(change_latency, change_t
     assert tuple(r["within"] for r in rows) == within
 
 
+# Parent quartiles 11.125 and 13.375 (inclusive method): an IQR of 2.25 around 12.25.
+PARENT = [10, 10.5, 11, 11.5, 12, 12.5, 13, 13.5, 14, 14.5]
+
+
+@pytest.mark.parametrize("change, rule", [
+    ([p - 3 for p in PARENT], True),                    # 10/10 won, gap 3
+    ([p - 3 for p in PARENT[:9]] + [15.5], True),       # 9/10 won, gap 3
+    ([p - 3 for p in PARENT[:8]] + [15, 15.5], False),  # 8/10 won, gap 3
+    ([p - 2 for p in PARENT], False),                   # 10/10 won, gap 2 inside the IQR
+    ([p - 3 for p in PARENT[:9]] + [14.5], True),       # a tie counts for neither side
+    ([p - 3 for p in PARENT[:8]] + [14, 14.5], False),  # two ties: 8/10 won
+])
+def test_pair_rule_needs_nine_tenths_won_and_a_gap_past_the_parent_iqr(change, rule):
+    tokens = [100 - p for p in PARENT]
+    latency, faster = pairs.summarize(_pairs(PARENT, change, tokens, [100 - c for c in change]),
+                                      METRICS)
+    assert (latency["parent_q1"], latency["parent_q3"]) == (11.125, 13.375)
+    assert latency["pair_rule"] is rule
+    assert faster["pair_rule"] is rule      # the same pairs, where higher is better
+    assert not pairs.summarize(_pairs(change, PARENT, tokens, tokens), METRICS)[0]["pair_rule"]
+
+
 def test_seed_ranges_are_inclusive():
     assert pairs.parse_seeds("5101-5103") == [5101, 5102, 5103]
     assert pairs.parse_seeds("7") == [7]
@@ -59,5 +81,9 @@ def test_format_rows_marks_a_metric_past_its_bound():
     lines = pairs.format_rows(rows)
     assert len(lines) == 3
     assert lines[1].startswith("latency_ms_p50") and lines[1].endswith("NO")
-    assert "+100.0%" in lines[1] and " 0/2 " in lines[1]
+    assert "+100.0%" in lines[1] and lines[1].split()[-4:] == ["0/2", "not", "met", "NO"]
     assert lines[2].endswith("yes")
+    met = pairs.format_rows(pairs.summarize(_pairs([10] * 10, [5] * 10, [100] * 10, [100] * 10),
+                                            METRICS))
+    assert met[1].split()[-3:] == ["10/10", "met", "yes"]
+    assert met[2].split()[-4:] == ["0/10", "not", "met", "yes"]

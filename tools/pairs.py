@@ -16,6 +16,9 @@ them), then one row per end-to-end metric listed in the change tree's
   - the parent's median with its quartiles (inclusive method);
   - the change's median and its relative difference;
   - the pairs the change won, ties counting for neither side;
+  - whether the change meets the pair rule for a claimed gain: it won at
+    least nine tenths of the pairs, and its median is better than the
+    parent's by more than the parent's interquartile range;
   - whether the change's median stays within the metric's bound, a
     relative worsening of at most `bound` from the parent's median.
 """
@@ -47,8 +50,10 @@ def summarize(pairs: Sequence[Tuple[Run, Run]], metrics: Sequence[Dict]) -> List
 
     `metrics` are BENCHMARK.json's `end_to_end` entries (name, better, bound).
     A row holds the parent's median and quartiles, the change's median, the
-    pairs the change won and the number of pairs, and `within`: whether the
-    change's median is no worse than the parent's by more than `bound`.
+    pairs the change won and the number of pairs, `pair_rule`: whether the
+    change won at least 9/10 of the pairs and its median is better than the
+    parent's by more than q3 - q1, and `within`: whether the change's median
+    is no worse than the parent's by more than `bound`.
     """
     rows = []
     for metric in metrics:
@@ -59,9 +64,11 @@ def summarize(pairs: Sequence[Tuple[Run, Run]], metrics: Sequence[Dict]) -> List
                           if len(parent) > 1 else parent * 3)
         change_median = statistics.median(change)
         won = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
+        gain = median - change_median if lower else change_median - median
         limit = median * (1 + metric["bound"] if lower else 1 - metric["bound"])
         rows.append({"name": name, "parent_median": median, "parent_q1": q1, "parent_q3": q3,
                      "change_median": change_median, "won": won, "pairs": len(pairs),
+                     "pair_rule": 10 * won >= 9 * len(pairs) and gain > q3 - q1,
                      "within": change_median <= limit if lower else change_median >= limit})
     return rows
 
@@ -69,13 +76,14 @@ def summarize(pairs: Sequence[Tuple[Run, Run]], metrics: Sequence[Dict]) -> List
 def format_rows(rows: Sequence[Dict]) -> List[str]:
     """The rows of `summarize` as a table, one line per metric."""
     lines = ["metric           parent median [q1, q3]           change median (diff)"
-             "     won  within bound"]
+             "     won  pair rule  within bound"]
     for r in rows:
         diff = r["change_median"] / r["parent_median"] - 1 if r["parent_median"] else 0.0
         parent = f"{r['parent_median']:.6g} [{r['parent_q1']:.6g}, {r['parent_q3']:.6g}]"
         change = f"{r['change_median']:.6g} ({diff:+.1%})"
+        rule = "met" if r["pair_rule"] else "not met"
         lines.append(f"{r['name']:<16} {parent:<32} {change:<24} {r['won']:>2}/{r['pairs']:<2}  "
-                     + ("yes" if r["within"] else "NO"))
+                     f"{rule:<9}  " + ("yes" if r["within"] else "NO"))
     return lines
 
 
