@@ -17,7 +17,7 @@ import os
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from ..errors import ValidationError
+from ..errors import ValidationError, path_error
 from .tokenizer import IMAGE_PLACEHOLDER, require_utf8
 
 ROLE_HUMAN = "human"
@@ -88,6 +88,9 @@ def conversation_from_record(record: dict, index: int) -> Conversation:
                               f"got {image!r}")
     if image is not None:
         require_utf8(image, f"record {index}: 'image'")
+        if "\0" in image:
+            raise ValidationError(f"record {index}: 'image' holds '\\x00', "
+                                  "which no file path can hold")
     conv_id = record.get("id", str(index))
     if not isinstance(conv_id, str):
         raise ValidationError(f"record {index}: 'id' must be a string, got {conv_id!r}")
@@ -108,10 +111,10 @@ def load_dataset(path: str) -> List[Conversation]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except OSError as exc:
-        raise ValidationError(f"{path}: cannot read ({exc.strerror})") from None
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValidationError(f"{path}: not valid JSON ({exc})") from None
+    except (OSError, ValueError) as exc:
+        raise path_error(path, "read", exc) from None
     if not isinstance(raw, list):
         raise ValidationError(f"{path}: top level must be a JSON array")
     convs, first_index = [], {}

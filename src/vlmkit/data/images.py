@@ -10,21 +10,34 @@ runs through the next newline and may follow a field directly. Whitespace
 is space, tab, CR, LF, VT or FF. Width and height must be positive and
 maxval 255.
 
+`load_ppm` opens a file with `os.open` and reads it whole with `os.read`,
+sized by `os.fstat`, so no buffered reader is built per image; the pixels
+are a view of the bytes read, converted to float32 once.
+
 `bilinear_resize` reads its source indices and weights from `_taps`, one
 call per axis, cached by (input size, output size) for that axis alone: a
 dataset of mixed image sizes adds one entry per distinct height or width,
-not one per (H, W) pair. The cache keeps the 64 most recently used axes,
-and its arrays are read-only, since every call shares them.
+not one per (H, W) pair. Each entry holds both taps of an output position,
+the weight w and its complement 1 - w among them, so a call computes no
+weight. The cache keeps the 64 most recently used axes, and its arrays are
+read-only, since every call shares them. A call gathers the four source
+pixels of every output pixel with one take per axis; multiplying them by
+their column weights is the one cast to float64 (what a float32 pixel times
+a float64 weight promotes to), the sums and row weights then run in place
+in the order of the two-pass formula, and one cast returns float32.
+`preprocess_image` normalizes that fresh array in place.
 """
 
 from __future__ import annotations
 
 import functools
+import io
+import os
 import re
 
 import numpy as np
 
-from ..errors import ValidationError, require_int
+from ..errors import ValidationError, path_error, require_int
 
 # Per-channel normalization of a resized image: (pixel - mean) / std.
 PIXEL_MEAN = np.full((3, 1, 1), 0.5, dtype=np.float32)
@@ -35,15 +48,29 @@ _PPM_GAP = rb"(?:\s|#[^\n]*\n)+"
 _PPM_HEADER = re.compile(rb"P6" + (_PPM_GAP + rb"(-?[0-9]+)") * 3 + rb"\s")
 
 
+def _read(path) -> bytes:
+    """The whole file, by os.read calls of its fstat size (at least
+    io.DEFAULT_BUFFER_SIZE) until one returns nothing: a regular file's bytes
+    come in the first call, and a file that grew or that fstat cannot size
+    still reads whole."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        step = max(os.fstat(fd).st_size, io.DEFAULT_BUFFER_SIZE)
+        chunks = []
+        while True:
+            chunk = os.read(fd, step)
+            if not chunk:
+                return b"".join(chunks)
+            chunks.append(chunk)
+    finally:
+        os.close(fd)
+
+
 def load_ppm(path: str) -> np.ndarray:
     try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError as exc:
-        raise ValidationError(f"{path}: cannot read ({exc.strerror})") from None
-    except UnicodeEncodeError as exc:
-        raise ValidationError(f"{path!r}: cannot read, the path holds "
-                              f"{exc.object[exc.start]!r}, which UTF-8 cannot encode") from None
+        blob = _read(path)
+    except (OSError, ValueError) as exc:
+        raise path_error(path, "read", exc) from None
     header = _PPM_HEADER.match(blob)
     if header is None:
         raise ValidationError(f"{path}: not a binary PPM header ('P6', width, height, "
@@ -56,11 +83,10 @@ def load_ppm(path: str) -> np.ndarray:
         raise ValidationError(f"{path}: PPM maxval must be 255, got {maxval}")
     pos = header.end()
     need = width * height * 3
-    raw = blob[pos:pos + need]
-    if len(raw) != need:
-        raise ValidationError(f"{path}: truncated PPM data, want {need} bytes got {len(raw)}")
-
-    arr = np.frombuffer(raw, dtype=np.uint8).reshape(height, width, 3)
+    if len(blob) - pos < need:
+        raise ValidationError(f"{path}: truncated PPM data, want {need} bytes "
+                              f"got {len(blob) - pos}")
+    arr = np.frombuffer(blob, dtype=np.uint8, count=need, offset=pos).reshape(height, width, 3)
     # One float32 array, channels first in memory too.
     img = arr.transpose(2, 0, 1).astype(np.float32, order="C")
     img /= np.float32(255.0)
@@ -73,22 +99,26 @@ def write_ppm(path: str, pixels: np.ndarray):
         raise ValidationError(f"write_ppm expects [H, W, 3] pixels, got {pixels.shape}")
     pixels = np.ascontiguousarray(pixels, dtype=np.uint8)
     h, w = pixels.shape[:2]
-    with open(path, "wb") as fh:
-        fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(pixels.tobytes())
+    try:
+        with open(path, "wb") as fh:
+            fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
+            fh.write(pixels.tobytes())
+    except ValueError as exc:
+        raise path_error(path, "write", exc) from None
 
 
 @functools.lru_cache(maxsize=64)
 def _taps(n_in: int, n_out: int):
-    """Half-pixel-center source taps of one axis: (i0, i1, w), where output
-    position k reads i0[k] with weight 1 - w[k] and i1[k] with weight w[k]."""
+    """Half-pixel-center source taps of one axis as (index, weight), each of
+    length 2 * n_out: output position k reads index[k] with weight[k] and
+    index[n_out + k] with weight[n_out + k], the complement of weight[k]."""
     pos = np.clip((np.arange(n_out) + 0.5) * n_in / n_out - 0.5, 0, n_in - 1)
     i0 = np.floor(pos).astype(np.int64)
-    i1 = np.minimum(i0 + 1, n_in - 1)
     w = pos - i0
-    for a in (i0, i1, w):
+    taps = (np.concatenate([i0, np.minimum(i0 + 1, n_in - 1)]), np.concatenate([1 - w, w]))
+    for a in taps:
         a.flags.writeable = False
-    return i0, i1, w
+    return taps
 
 
 def bilinear_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
@@ -104,16 +134,15 @@ def bilinear_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
         raise ValidationError(f"img must have a non-zero height and width, got {img.shape}")
     if h == out_h and w == out_w:
         return img.astype(np.float32, copy=True)
-    y0, y1, wy = _taps(h, out_h)
-    x0, x1, wx = _taps(w, out_w)
-    wy = wy[:, None]
-
-    def columns(rows):
-        return rows.take(x0, axis=2) * (1 - wx) + rows.take(x1, axis=2) * wx
-
-    top = columns(img.take(y0, axis=1))
-    bot = columns(img.take(y1, axis=1))
-    return (top * (1 - wy) + bot * wy).astype(np.float32)
+    rows, row_weight = _taps(h, out_h)
+    cols, col_weight = _taps(w, out_w)
+    # The four source pixels of each output pixel, each times its column
+    # weight: the one cast, to the float64 a float32 pixel promotes to.
+    corners = img.take(rows, axis=1).take(cols, axis=2) * col_weight
+    # Left plus right, then top and bottom rows weighted, then top plus bottom.
+    sides = corners[:, :, :out_w] + corners[:, :, out_w:]
+    sides *= row_weight[:, None]
+    return (sides[:, :out_h] + sides[:, out_h:]).astype(np.float32)
 
 
 def preprocess_image(img: np.ndarray, target: int, aspect_mode: str = "square") -> np.ndarray:
@@ -143,4 +172,6 @@ def preprocess_image(img: np.ndarray, target: int, aspect_mode: str = "square") 
         img = canvas
 
     resized = bilinear_resize(img.astype(np.float32, copy=False), target, target)
-    return (resized - PIXEL_MEAN) / PIXEL_STD
+    resized -= PIXEL_MEAN
+    resized /= PIXEL_STD
+    return resized

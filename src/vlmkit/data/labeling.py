@@ -2,12 +2,19 @@
 
 The segments come from `templates.template_segments`, which alone defines
 their order. Each segment (system message, role markers, turn texts,
-specials) is tokenized independently and concatenated, so token boundaries
-never straddle segments, and `template_segments` rejects an "<image>" split
-across them. Labels carry the token id inside assistant answer text plus its
-terminator (EOS or the assistant suffix) and IGNORE_INDEX (-100) everywhere
-else. The one image token is never supervised: templates may not hold
-"<image>", so it comes from the first turn, which is a human one.
+specials) is tokenized on its own, so token boundaries never straddle
+segments, and `template_segments` rejects an "<image>" split across them.
+`ByteTokenizer.encode_pieces` walks the segments once: it encodes each text
+to UTF-8, joins the bytes, converts them to int32 ids in one step and writes
+BOS, EOS and IMAGE into the slots it recorded on the way, never by searching
+the bytes, since turn text may hold NUL. It returns where each segment ends,
+so the supervised ones become (start, end) spans.
+
+Labels carry the token id inside assistant answer text plus its terminator
+(EOS or the assistant suffix) and IGNORE_INDEX (-100) everywhere else: one
+fill with IGNORE_INDEX, then one slice copy per supervised span. The one
+image token is never supervised: templates may not hold "<image>", so it
+comes from the first turn, which is a human one.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from ..errors import ValidationError, require_int
 from ..numerics.ops import IGNORE_INDEX
 from .conversations import Conversation
 from .templates import ChatTemplate, template_segments
-from .tokenizer import IMAGE_ID, PAD_ID, ByteTokenizer
+from .tokenizer import PAD_ID, ByteTokenizer
 
 
 @dataclass
@@ -37,17 +44,16 @@ class TokenizedSample:
 
 
 def _tokenize(conv: Conversation, tpl: ChatTemplate, tok: ByteTokenizer,
-              prompt: bool) -> Tuple[np.ndarray, np.ndarray, Optional[int]]:
-    """The ids and labels of `conv`'s template segments (see `template_segments`
-    for `prompt`), and the index of the image placeholder, if any."""
-    ids: List[int] = []
-    labels: List[int] = []
-    for piece, supervised in template_segments(conv, tpl, prompt):
-        seg = [piece] if isinstance(piece, int) else tok.encode(piece)
-        ids.extend(seg)
-        labels.extend(seg if supervised else [IGNORE_INDEX] * len(seg))
-    image_index = ids.index(IMAGE_ID) if IMAGE_ID in ids else None
-    return np.asarray(ids, dtype=np.int32), np.asarray(labels, dtype=np.int32), image_index
+              prompt: bool) -> Tuple[np.ndarray, List[Tuple[int, int]], Optional[int]]:
+    """The ids of `conv`'s template segments (see `template_segments` for
+    `prompt`), the (start, end) span of each supervised segment, and the
+    index of the image placeholder, if any."""
+    segments = template_segments(conv, tpl, prompt)
+    ids, ends, image_index = tok.encode_pieces([piece for piece, _ in segments])
+    # Segment k holds ids[ends[k - 1]:ends[k]].
+    spans = [(start, end) for (_, supervised), start, end in zip(segments, [0] + ends, ends)
+             if supervised]
+    return ids, spans, image_index
 
 
 def tokenize_and_label(conv: Conversation, tpl: ChatTemplate,
@@ -57,9 +63,12 @@ def tokenize_and_label(conv: Conversation, tpl: ChatTemplate,
     A conversation without an assistant turn would train nothing and is
     refused: every assistant turn supervises at least its terminator.
     """
-    ids, labels, image_index = _tokenize(conv, tpl, tok, prompt=False)
-    if (labels == IGNORE_INDEX).all():
+    ids, spans, image_index = _tokenize(conv, tpl, tok, prompt=False)
+    if not spans:
         raise ValidationError(f"conversation '{conv.id}' has no assistant turn")
+    labels = np.full(len(ids), IGNORE_INDEX, dtype=np.int32)
+    for start, end in spans:
+        labels[start:end] = ids[start:end]
     return TokenizedSample(ids, labels, image_index, conv_id=conv.id)
 
 

@@ -19,7 +19,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from ..errors import ValidationError, require_int
+from ..errors import ValidationError, path_error, require_int
 from ..numerics.rng import Rng
 from .images import write_ppm
 
@@ -128,7 +128,10 @@ def synth_vqa_generate(out_dir: str, n: int, seed: int, split: str) -> str:
     if split not in ("train", "heldout"):
         raise ValidationError(f"split must be 'train' or 'heldout', got {split!r}")
     images_dir = os.path.join(out_dir, "images")
-    os.makedirs(images_dir, exist_ok=True)
+    try:
+        os.makedirs(images_dir, exist_ok=True)
+    except ValueError as exc:
+        raise path_error(out_dir, "write", exc) from None
     records: List[dict] = []
     for i in range(n):
         pixels, record = make_sample(seed, split, i)

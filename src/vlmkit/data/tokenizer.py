@@ -3,11 +3,19 @@
 Text maps to its UTF-8 bytes one token per byte, except the literal
 "<image>" which always becomes the single IMAGE token. Special ids are
 fixed: BOS=256, EOS=257, PAD=258, IMAGE=259, vocab size 260.
+
+`ByteTokenizer.encode_pieces` is the one encoder: it joins the UTF-8 bytes
+of a run of pieces and converts them to ids in one step, then writes each
+special id (BOS, EOS, IMAGE) into the slot it recorded while walking.
+Specials are never found by searching the bytes, so text may hold any
+character, NUL included. `encode` is its one-piece case.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from ..errors import ValidationError
 
@@ -32,13 +40,39 @@ def require_utf8(text: str, where: str) -> None:
 
 class ByteTokenizer:
     def encode(self, text: str) -> List[int]:
-        ids: List[int] = []
-        parts = text.split(IMAGE_PLACEHOLDER)
-        for i, part in enumerate(parts):
-            if i:
-                ids.append(IMAGE_ID)
-            ids.extend(part.encode("utf-8"))
-        return ids
+        return self.encode_pieces([text])[0].tolist()
+
+    def encode_pieces(self, pieces: Sequence[Union[str, int]]
+                      ) -> Tuple[np.ndarray, List[int], Optional[int]]:
+        """The int32 ids of `pieces` laid end to end, where a piece is text or
+        one special id; the offset where each piece ends; and the index of the
+        first IMAGE token, if any."""
+        blobs: List[bytes] = []
+        slots: List[Tuple[int, int]] = []       # (index, special id)
+        ends: List[int] = []
+        n = 0
+        for piece in pieces:
+            if isinstance(piece, int):
+                slots.append((n, piece))
+                blobs.append(b"\0")
+                n += 1
+            else:
+                for i, part in enumerate(piece.split(IMAGE_PLACEHOLDER)):
+                    if i:
+                        slots.append((n, IMAGE_ID))
+                        blobs.append(b"\0")
+                        n += 1
+                    blob = part.encode("utf-8")
+                    blobs.append(blob)
+                    n += len(blob)
+            ends.append(n)
+        ids = np.frombuffer(b"".join(blobs), dtype=np.uint8).astype(np.int32)
+        image_index = None
+        for at, special in slots:
+            ids[at] = special
+            if special == IMAGE_ID and image_index is None:
+                image_index = at
+        return ids, ends, image_index
 
     def decode(self, ids: Iterable[int]) -> str:
         pieces: List[str] = []

@@ -20,6 +20,18 @@ class RegistryError(ValidationError):
     """Unknown component name or conflicting registration."""
 
 
+def path_error(path, verb: str, exc: Exception) -> ValidationError:
+    """The ValidationError, naming `path`, for the OS layer's refusal to `verb`
+    it: an OSError, or a ValueError for a path no OS call takes, one holding a
+    NUL or a character UTF-8 cannot encode (a lone surrogate)."""
+    if isinstance(exc, OSError):
+        return ValidationError(f"{path}: cannot {verb} ({exc.strerror})")
+    if isinstance(exc, UnicodeEncodeError):
+        return ValidationError(f"{path!r}: cannot {verb}, the path holds "
+                               f"{exc.object[exc.start]!r}, which UTF-8 cannot encode")
+    return ValidationError(f"{path!r}: cannot {verb} ({exc})")
+
+
 def require_int(name: str, value, low: Optional[int] = None) -> int:
     """`value` as an int when it is an integer (numpy's too, a bool never) of at
     least `low`; anything else is a ValidationError naming `name`."""

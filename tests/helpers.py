@@ -1,10 +1,12 @@
 """Shared test helpers: random multilingual conversations, the fuzz profile, the
-reference bilinear resize."""
+reference bilinear resize and the reference tokenizer walk."""
 
 import numpy as np
 from hypothesis import settings
 
-from vlmkit.data import Conversation, Turn
+from vlmkit.data import IMAGE_ID, IMAGE_PLACEHOLDER, Conversation, Turn
+from vlmkit.data.templates import template_segments
+from vlmkit.numerics.ops import IGNORE_INDEX
 
 # Fuzz tests see the same examples on every run, with no per-example time
 # limit, so a slow or loaded machine cannot make them flake.
@@ -59,3 +61,23 @@ def reference_bilinear_resize(img: np.ndarray, out_h: int, out_w: int) -> np.nda
     top = img[:, y0][:, :, x0] * (1 - wx) + img[:, y0][:, :, x1] * wx
     bot = img[:, y1][:, :, x0] * (1 - wx) + img[:, y1][:, :, x1] * wx
     return (top * (1 - wy) + bot * wy).astype(np.float32)
+
+
+def reference_tokenize(conv: Conversation, tpl, prompt: bool):
+    """Ids, labels (int32) and image index of `conv` under `tpl`, built as
+    lists one segment at a time and searched for the image token afterwards;
+    `tokenize_and_label` and `tokenize_prompt` must match it byte for byte."""
+    ids, labels = [], []
+    for piece, supervised in template_segments(conv, tpl, prompt):
+        if isinstance(piece, int):
+            seg = [piece]
+        else:
+            seg = []
+            for i, part in enumerate(piece.split(IMAGE_PLACEHOLDER)):
+                if i:
+                    seg.append(IMAGE_ID)
+                seg.extend(part.encode("utf-8"))
+        ids.extend(seg)
+        labels.extend(seg if supervised else [IGNORE_INDEX] * len(seg))
+    image_index = ids.index(IMAGE_ID) if IMAGE_ID in ids else None
+    return np.asarray(ids, dtype=np.int32), np.asarray(labels, dtype=np.int32), image_index

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import random_conversation, reference_bilinear_resize
+from helpers import random_conversation, reference_bilinear_resize, reference_tokenize
 from vlmkit.data import (
     ANSWER_VOCABULARY,
     BOS_ID,
@@ -437,6 +437,60 @@ def test_tokenize_prompt_matches_labeled_prefix():
         assert img_idx == full.image_token_index
 
 
+def _same_tokens(conv, tpl):
+    """tokenize_and_label (when the conversation has an answer) and
+    tokenize_prompt give the reference walk's bytes, dtypes and image index."""
+    ids, labels, image_index = reference_tokenize(conv, tpl, prompt=False)
+    if (labels != IGNORE_INDEX).any():
+        sm = tokenize_and_label(conv, tpl, TOK)
+        for got, want in ((sm.input_ids, ids), (sm.labels, labels)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert sm.image_token_index == image_index
+    ids, _, image_index = reference_tokenize(conv, tpl, prompt=True)
+    got, got_index = tokenize_prompt(conv, tpl, TOK)
+    assert got.dtype == ids.dtype and got.tobytes() == ids.tobytes()
+    assert got_index == image_index
+
+
+@pytest.mark.parametrize("tpl", BUILTIN_TEMPLATES.values(), ids=BUILTIN_TEMPLATES.keys())
+@pytest.mark.parametrize("with_image", [False, True])
+def test_tokenize_matches_the_reference_walk(tpl, with_image):
+    rng = np.random.default_rng(12)
+    for k in range(12):
+        _same_tokens(random_conversation(rng, conv_id=f"c{k}", with_image=with_image), tpl)
+
+
+@pytest.mark.parametrize("tpl", BUILTIN_TEMPLATES.values(), ids=BUILTIN_TEMPLATES.keys())
+@pytest.mark.parametrize("turns", [
+    ["a\0b", "\0"],                             # NUL in both turns
+    ["<image>\0", "x\0\0<end_of_turn>"],         # NUL next to the image and a marker
+    ["", ""],                                   # empty turns
+    ["<image>", "", "q", ""],                   # empty answers, several turns
+    ["q"],                                      # no answer: a prompt only
+], ids=["nul", "nul-image", "empty", "empty-answers", "question"])
+def test_tokenize_matches_the_reference_walk_on_nul_and_empty_turns(tpl, turns):
+    roles = ["human", "assistant"] * len(turns)
+    conv = Conversation(id="z", image_path="x.ppm" if "<image>" in turns[0] else None,
+                        turns=[Turn(r, t) for r, t in zip(roles, turns)])
+    _same_tokens(conv, tpl)
+    if "\0" in turns[0]:
+        # A NUL in the text is byte 0, never a special id.
+        ids, _ = tokenize_prompt(conv, tpl, TOK)
+        assert (ids == 0).sum() == turns[0].count("\0")
+
+
+def test_encode_is_the_one_piece_walk():
+    text = "日本<image>\0a<image>"
+    ids, ends, image_index = TOK.encode_pieces([text])
+    assert TOK.encode(text) == ids.tolist() == (
+        list("日本".encode()) + [IMAGE_ID, 0, ord("a"), IMAGE_ID])
+    assert ends == [len(ids)] and image_index == 6
+    ids, ends, image_index = TOK.encode_pieces([BOS_ID, "", "a\0", EOS_ID])
+    assert ids.dtype == np.int32 and ids.tolist() == [BOS_ID, ord("a"), 0, EOS_ID]
+    assert ends == [1, 1, 3, 4] and image_index is None
+    assert TOK.encode("") == [] and TOK.encode_pieces([])[0].dtype == np.int32
+
+
 # -- collate -----------------------------------------------------------------------
 
 
@@ -653,6 +707,35 @@ def test_bilinear_resize_output_is_the_callers_own():
     same = bilinear_resize(img, 32, 32)
     same[...] = 7.0
     assert bilinear_resize(img, 32, 32).tobytes() == img.tobytes()
+
+
+def test_bilinear_resize_caches_the_weight_complement_read_only():
+    from vlmkit.data.images import _taps
+    index, weight = _taps(32, 16)
+    assert index.shape == weight.shape == (32,)
+    assert weight[:16].tobytes() == (1 - weight[16:]).tobytes()
+    assert not weight.flags.writeable
+    with pytest.raises(ValueError):
+        weight[:16] += 1
+
+
+@pytest.mark.parametrize("h, w, tail", [(640, 600, b""), (4, 5, b"trailing bytes\n"),
+                                        (700, 512, b"\0" * 4096)],
+                         ids=["over-1MiB", "trailing", "over-1MiB-trailing"])
+def test_load_ppm_reads_the_whole_file(tmp_path, h, w, tail):
+    pixels = np.random.default_rng(h).integers(0, 256, (h, w, 3), dtype=np.uint8)
+    p = tmp_path / "big.ppm"
+    p.write_bytes(f"P6\n{w} {h}\n255\n".encode() + pixels.tobytes() + tail)
+    img = load_ppm(str(p))
+    want = (pixels.astype(np.float32) / np.float32(255.0)).transpose(2, 0, 1)
+    assert img.shape == (3, h, w) and img.flags.c_contiguous
+    assert img.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+def test_load_ppm_names_a_directory(tmp_path):
+    with pytest.raises(ValidationError) as ei:
+        load_ppm(str(tmp_path))
+    assert str(ei.value) == f"{tmp_path}: cannot read (Is a directory)"
 
 
 def test_load_ppm_is_channel_first_contiguous_bytes_over_255(tmp_path):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from vlmkit.data import (ByteTokenizer, ChatTemplate, bilinear_resize, collate, load_dataset,
-                         load_ppm, preprocess_image, write_ppm)
+                         load_ppm, preprocess_image, synth_vqa_generate, write_ppm)
 from vlmkit.errors import DimensionError, RegistryError, ValidationError
 from vlmkit.model import (LanguageModel, LLMConfig, MultiHeadAttention, VisionTowerConfig,
                           build_model, compose_multimodal)
@@ -34,6 +34,13 @@ def _non_array_dataset(tmp):
 def _surrogate_image_dataset(tmp):
     path = tmp / "d.json"
     path.write_text(json.dumps([{"image": "x\ud800.ppm", "conversations": [
+        {"from": "human", "value": "<image>q"}, {"from": "gpt", "value": "a"}]}]))
+    return load_dataset(str(path))
+
+
+def _nul_image_dataset(tmp):
+    path = tmp / "d.json"
+    path.write_text(json.dumps([{"image": "im\u0000g.ppm", "conversations": [
         {"from": "human", "value": "<image>q"}, {"from": "gpt", "value": "a"}]}]))
     return load_dataset(str(path))
 
@@ -64,6 +71,21 @@ ERRORS = [
     pytest.param(ValidationError, _surrogate_image_dataset, id="load_dataset-surrogate-image"),
     pytest.param(ValidationError, lambda tmp: ChatTemplate("t", system_message="look: <image> "),
                  id="template-image"),
+    pytest.param(ValidationError, lambda tmp: load_ppm(str(tmp / "x\0.ppm")),
+                 id="load_ppm-nul-path"),
+    pytest.param(ValidationError, lambda tmp: load_dataset(str(tmp / "d\0.json")),
+                 id="load_dataset-nul-path"),
+    pytest.param(ValidationError, lambda tmp: load_dataset(str(tmp / "d\ud800.json")),
+                 id="load_dataset-surrogate-path"),
+    pytest.param(ValidationError,
+                 lambda tmp: write_ppm(str(tmp / "x\0.ppm"), np.zeros((2, 2, 3), np.uint8)),
+                 id="write_ppm-nul-path"),
+    pytest.param(ValidationError,
+                 lambda tmp: write_ppm(str(tmp / "x\ud800.ppm"), np.zeros((2, 2, 3), np.uint8)),
+                 id="write_ppm-surrogate-path"),
+    pytest.param(ValidationError, lambda tmp: synth_vqa_generate(str(tmp / "w\0"), 1, 0, "train"),
+                 id="synth-nul-workdir"),
+    pytest.param(ValidationError, _nul_image_dataset, id="load_dataset-nul-image"),
     # model configs and layers
     pytest.param(ValidationError, lambda tmp: LLMConfig(width=30, heads=4), id="llm-heads"),
     pytest.param(ValidationError, lambda tmp: VisionTowerConfig(image_size=15),
@@ -137,6 +159,34 @@ def test_bad_input_raises_its_error(error, call, tmp_path):
     with pytest.raises(error) as ei:
         call(tmp_path)
     assert type(ei.value) is error, repr(ei.value)
+
+
+@pytest.mark.parametrize("call, name, message", [
+    pytest.param(load_ppm, "x\0.ppm", "cannot read (embedded null byte)", id="load_ppm"),
+    pytest.param(load_dataset, "d\0.json", "cannot read (embedded null byte)", id="load_dataset"),
+    pytest.param(lambda path: write_ppm(path, np.zeros((2, 2, 3), np.uint8)), "x\0.ppm",
+                 "cannot write (embedded null byte)", id="write_ppm"),
+    pytest.param(lambda path: synth_vqa_generate(path, 1, 0, "train"), "w\0",
+                 "cannot write (embedded null byte)", id="synth_vqa_generate"),
+    pytest.param(load_dataset, "d\ud800.json",
+                 "cannot read, the path holds '\\ud800', which UTF-8 cannot encode",
+                 id="load_dataset-surrogate"),
+    pytest.param(lambda path: write_ppm(path, np.zeros((2, 2, 3), np.uint8)), "x\ud800.ppm",
+                 "cannot write, the path holds '\\ud800', which UTF-8 cannot encode",
+                 id="write_ppm-surrogate"),
+])
+def test_a_path_no_os_call_takes_is_named(tmp_path, call, name, message):
+    path = str(tmp_path / name)
+    with pytest.raises(ValidationError) as ei:
+        call(path)
+    assert str(ei.value) == f"{path!r}: {message}"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_record_image_path_with_nul_is_refused_by_record(tmp_path):
+    with pytest.raises(ValidationError) as ei:
+        _nul_image_dataset(tmp_path)
+    assert str(ei.value) == "record 0: 'image' holds '\\x00', which no file path can hold"
 
 
 @pytest.mark.parametrize("img, out_h, out_w, name", [

@@ -3,7 +3,8 @@
 For any input, `load_dataset` and `load_ppm` either return a well-formed
 result or raise a `VlmkitError` that names the record or the file;
 `tokenize_and_label` and `tokenize_prompt` either raise a `VlmkitError` or
-return ids and labels that agree with each other and with the template;
+return ids and labels that agree with each other and with the template, and
+byte for byte with the reference list walk;
 `bilinear_resize` either matches the reference resize bit for bit or raises
 a `VlmkitError` that starts with the bad argument; `collate` either batches
 its samples or raises a `VlmkitError` that names the sample (or `pad_to`,
@@ -20,9 +21,10 @@ import re
 from dataclasses import fields
 
 import numpy as np
+import pytest
 from hypothesis import example, given, strategies as st
 
-from helpers import FUZZ, reference_bilinear_resize
+from helpers import FUZZ, reference_bilinear_resize, reference_tokenize
 from vlmkit.data import (BOS_ID, BUILTIN_TEMPLATES, IMAGE_ID, IMAGE_PLACEHOLDER, PAD_ID,
                          ByteTokenizer, Conversation, Turn, bilinear_resize, collate,
                          load_dataset, load_ppm, render_prompt, tokenize_and_label,
@@ -68,6 +70,7 @@ QUESTION = [{"from": "human", "value": "<image>\nq"}, {"from": "gpt", "value": "
 @example(records=[{"id": "a", "conversations": [{"from": "human", "value": "q\ud800"},
                                                 {"from": "gpt", "value": "a"}]}])
 @example(records=[{"id": "a", "image": "x\ud800.ppm", "conversations": QUESTION}])
+@example(records=[{"id": "a", "image": "im\x00g.ppm", "conversations": QUESTION}])
 def test_load_dataset_loads_or_names_the_record(tmp_path_factory, records):
     path = tmp_path_factory.getbasetemp() / "fuzz_dataset.json"
     path.write_text(json.dumps(records), encoding="utf-8")
@@ -86,6 +89,7 @@ def test_load_dataset_loads_or_names_the_record(tmp_path_factory, records):
         assert conv.image_path is None or (isinstance(conv.image_path, str) and conv.image_path)
         if conv.image_path is not None:
             conv.image_path.encode("utf-8")     # a path UTF-8 can encode
+            assert "\0" not in conv.image_path  # and an OS call takes
         for turn in conv.turns:
             assert turn.role in (ROLE_HUMAN, ROLE_ASSISTANT)
             assert isinstance(turn.text, str)
@@ -244,6 +248,39 @@ def test_tokenize_labels_or_raises(conv, tpl):
     else:
         prefix = TOK.encode(tpl.assistant_prefix)
         np.testing.assert_array_equal(prompt, np.concatenate([ids, prefix]))
+
+
+@FUZZ
+@given(conv=conversations(), tpl=st.sampled_from(list(BUILTIN_TEMPLATES.values())),
+       prompt=st.booleans())
+@example(conv=Conversation("nul", None,
+                          [Turn(ROLE_HUMAN, "\0q\0"), Turn(ROLE_ASSISTANT, "\0")]),
+         tpl=BUILTIN_TEMPLATES["gemma_like"], prompt=False)
+@example(conv=Conversation("empty", "x.ppm",
+                          [Turn(ROLE_HUMAN, "<image>"), Turn(ROLE_ASSISTANT, "")]),
+         tpl=BUILTIN_TEMPLATES["plain"], prompt=False)
+def test_tokenize_matches_the_reference_walk(conv, tpl, prompt):
+    try:
+        ids, labels, image_index = reference_tokenize(conv, tpl, prompt)
+    except VlmkitError as exc:
+        call = tokenize_prompt if prompt else tokenize_and_label
+        with pytest.raises(VlmkitError) as ei:
+            call(conv, tpl, TOK)
+        assert str(ei.value) == str(exc)
+        return
+    if prompt:
+        got, got_index = tokenize_prompt(conv, tpl, TOK)
+        pairs = [(got, ids)]
+    elif (labels == IGNORE_INDEX).all():
+        with pytest.raises(VlmkitError, match="has no assistant turn$"):
+            tokenize_and_label(conv, tpl, TOK)
+        return
+    else:
+        sm = tokenize_and_label(conv, tpl, TOK)
+        got_index, pairs = sm.image_token_index, [(sm.input_ids, ids), (sm.labels, labels)]
+    for got, want in pairs:
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert got_index == image_index
 
 
 # -- collate ---------------------------------------------------------------------------

@@ -87,3 +87,45 @@ def test_format_rows_marks_a_metric_past_its_bound():
                                             METRICS))
     assert met[1].split()[-3:] == ["10/10", "met", "yes"]
     assert met[2].split()[-4:] == ["0/10", "not", "met", "yes"]
+
+
+def _traced(failed, **layers):
+    return {"failed": failed, "attempted": 100,
+            "metrics": {name: {"value": v} for name, v in layers.items()}}
+
+
+LAYERS = [{"name": "load_ppm_us", "better": "lower"}, {"name": "collate_us", "better": "lower"},
+          {"name": "vision_ms", "better": "lower"}, {"name": "absent_ms", "better": "lower"}]
+
+
+def test_layer_summary_has_quartiles_on_both_sides_and_skips_silent_layers():
+    runs = [(_traced(0, load_ppm_us=p, collate_us=40, vision_ms=0),
+             _traced(0, load_ppm_us=c, collate_us=cc, vision_ms=0))
+            for p, c, cc in zip([20, 22, 21, 24, 23], [12, 13, 23, 11, 14], [40, 41, 39, 40, 42])]
+    rows = pairs.summarize_layers(runs, LAYERS)
+    # vision_ms is 0 in every run and absent_ms is in none: neither gets a row.
+    assert [r["name"] for r in rows] == ["load_ppm_us", "collate_us"]
+    ppm, collate = rows
+    assert ppm == {"name": "load_ppm_us", "parent": (21, 22, 23), "change": (12, 13, 14),
+                   "won": 4, "pairs": 5}
+    assert collate["parent"] == (40, 40, 40) and collate["change"] == (40, 40, 41)
+    assert collate["won"] == 1          # two ties count for neither side
+    lines = pairs.format_layer_rows(rows)
+    assert len(lines) == 3 and lines[0].startswith("per-layer metric")
+    assert lines[1].split() == ["load_ppm_us", "22", "[21,", "23]", "13", "[12,", "14]",
+                                "-40.9%", "4/5"]
+    assert lines[2].split()[-2:] == ["+0.0%", "1/5"]
+
+
+def test_failed_share_is_a_row_that_may_not_grow():
+    assert pairs.value(_traced(3), "failed_share") == 0.03
+    assert pairs.value({"failed": 0, "attempted": 0, "metrics": {}}, "failed_share") == 0.0
+    same = [(_traced(1), _traced(1)) for _ in range(4)]
+    worse = [(_traced(1), _traced(2)) for _ in range(4)]
+    better = [(_traced(2), _traced(0)) for _ in range(4)]
+    rows = [pairs.summarize(runs, [pairs.FAILED_SHARE])[0] for runs in (same, worse, better)]
+    assert [r["within"] for r in rows] == [True, False, True]
+    assert [r["won"] for r in rows] == [0, 0, 4]
+    assert rows[2]["parent_median"] == 0.02 and rows[2]["change_median"] == 0.0
+    line = pairs.format_rows([rows[1]])[1]
+    assert line.startswith("failed_share") and line.endswith("NO")
