@@ -103,7 +103,7 @@ def write_ppm(path: str, pixels: np.ndarray):
         with open(path, "wb") as fh:
             fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
             fh.write(pixels.tobytes())
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         raise path_error(path, "write", exc) from None
 
 

@@ -130,7 +130,7 @@ def synth_vqa_generate(out_dir: str, n: int, seed: int, split: str) -> str:
     images_dir = os.path.join(out_dir, "images")
     try:
         os.makedirs(images_dir, exist_ok=True)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         raise path_error(out_dir, "write", exc) from None
     records: List[dict] = []
     for i in range(n):
@@ -138,6 +138,9 @@ def synth_vqa_generate(out_dir: str, n: int, seed: int, split: str) -> str:
         write_ppm(os.path.join(out_dir, record["image"]), pixels)
         records.append(record)
     json_path = os.path.join(out_dir, f"{split}.json")
-    with open(json_path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(records, indent=2, sort_keys=True) + "\n")
+    try:
+        with open(json_path, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(records, indent=2, sort_keys=True) + "\n")
+    except (OSError, ValueError) as exc:
+        raise path_error(json_path, "write", exc) from None
     return json_path

@@ -14,7 +14,7 @@ from dataclasses import fields
 from typing import List, Optional, Tuple
 
 from ..errors import DimensionError, ValidationError, require_int
-from ..numerics import (Rng, Tensor, add, concat, gelu, layer_norm, matmul, reshape, rms_norm, scale,
+from ..numerics import (Rng, Tensor, add, concat, gelu, layer_norm, matmul, reshape, rms_norm,
                         softmax, transpose)
 
 INIT_STD = 0.02
@@ -82,7 +82,7 @@ class Linear(Module):
         self.b = Tensor.zeros((d_out,), requires_grad=True)
 
     def forward(self, x: Tensor) -> Tensor:
-        return add(matmul(x, self.w), self.b)
+        return matmul(x, self.w, self.b)
 
 
 class LayerNorm(Module):
@@ -153,10 +153,8 @@ class MultiHeadAttention(Module):
         v = split_heads(self.wv(kv_in), tk)
         if cache is not None:
             k, v = cache.extend(k, v)
-        scores = scale(matmul(q, transpose(k, (0, 2, 1))), 1.0 / math.sqrt(dh))
-        if mask is not None:
-            scores = add(scores, mask)
-        ctx = matmul(softmax(scores), v)
+        scores = matmul(q, transpose(k, (0, 2, 1)))
+        ctx = matmul(softmax(scores, 1.0 / math.sqrt(dh), mask), v)
         merged = reshape(transpose(ctx, (1, 0, 2)), (tq, self._d_model))
         return self.wo(merged)
 

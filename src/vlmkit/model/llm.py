@@ -130,7 +130,7 @@ class LanguageModel(Module):
             raise ValidationError(
                 f"sequence length {start + t} exceeds max positions {self.config.max_positions}")
         x = add(embeds, narrow(self.pos_embed, 0, start, t))
-        mask = causal_mask(t, start=start)
+        mask = causal_mask(t, start=start) if t > 1 else None     # one row sees every key
         layers = [None] * len(self.blocks) if cache is None else cache.layers
         for block, layer in zip(self.blocks, layers):
             x = block(x, mask, layer)

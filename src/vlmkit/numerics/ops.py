@@ -15,12 +15,18 @@ rules:
   bit, without the wrappers.
 - An op does not pre-check what numpy already rejects. It catches numpy's
   error and raises the `DimensionError` that names the shapes.
+- An op keeps for backward only what backward reads, and recomputes by the
+  forward's own steps whatever it can take from its inputs, so the bits are
+  the same. A bias added inside `matmul` and the scale and mask applied
+  inside `softmax` leave no intermediate array on the tape; the norms keep
+  per-row statistics, not the normalized input; the loss keeps only its
+  supervised rows.
 """
 
 from __future__ import annotations
 
 from numbers import Real
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -95,15 +101,20 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return record("mul", out, (a, b), bw)
 
 
-def scale(a: Tensor, s: float) -> Tensor:
-    """`a` times the real number `s` (a bool is not one)."""
+def _factor(op: str, s) -> np.float32:
+    """`s` as a float32 factor when it is a real number (a bool is not one)."""
     if isinstance(s, bool) or not isinstance(s, Real):
-        raise ValidationError(f"scale factor must be a real number, got {s!r}")
-    s = float(s)
-    out = a.data * np.float32(s)
+        raise ValidationError(f"{op} factor must be a real number, got {s!r}")
+    return np.float32(float(s))
+
+
+def scale(a: Tensor, s: float) -> Tensor:
+    """`a` times the real number `s`."""
+    s = _factor("scale", s)
+    out = a.data * s
 
     def bw(g):
-        return (g * np.float32(s),)
+        return (g * s,)
 
     return record("scale", out, (a,), bw)
 
@@ -173,7 +184,12 @@ def exp(x: Tensor) -> Tensor:
 # -- linear algebra -----------------------------------------------------------
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
+def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
+    """a @ b, plus `bias` when one is given.
+
+    The bias is added in place into the product, which rounds as a separate
+    `add` would; it must broadcast to the product's shape.
+    """
     ad, bd = a.data, b.data
     if ad.ndim < 2 or bd.ndim < 2:
         raise DimensionError(f"matmul needs >=2-d operands, got {a.shape} and {b.shape}")
@@ -182,47 +198,82 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     except ValueError:
         which = "inner" if ad.shape[-1] != bd.shape[-2] else "batch"
         raise DimensionError(f"matmul: {which} dimensions differ, {a.shape} vs {b.shape}") from None
+    inputs = (a, b)
+    if bias is not None:
+        inputs += (bias,)
+        try:
+            out += bias.data
+        except ValueError:
+            raise DimensionError(
+                f"matmul: bias {bias.shape} does not broadcast to the product {out.shape}") from None
 
     def bw(g):
         ga = _unbroadcast(g @ bd.swapaxes(-1, -2), ad.shape)
         gb = _unbroadcast(ad.swapaxes(-1, -2) @ g, bd.shape)
-        return ga, gb
+        if bias is None:
+            return ga, gb
+        return ga, gb, _unbroadcast(g, bias.shape)
 
-    return record("matmul", out, (a, b), bw)
+    return record("matmul", out, inputs, bw)
 
 
-def softmax(x: Tensor) -> Tensor:
-    """Softmax along the last axis, stabilized by max subtraction."""
+def softmax(x: Tensor, s: float = 1.0, mask: Optional[Tensor] = None) -> Tensor:
+    """Softmax of x * s + mask along the last axis, stabilized by max subtraction.
+
+    Scaling and masking round as a separate `scale` and `add` would, but
+    leave no copy of the scores behind. The mask must broadcast to x's
+    shape; it is a constant and gets no gradient.
+    """
+    s = _factor("softmax", s)
     if x.ndim == 0 or x.shape[-1] < 1:
         raise DimensionError(f"softmax needs a non-empty last axis, shape {x.shape}")
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=-1, keepdims=True, dtype=np.float64).astype(np.float32)
+    out = x.data * s
+    if mask is not None:
+        try:
+            out += mask.data
+        except ValueError:
+            raise DimensionError(
+                f"softmax: mask {mask.shape} does not broadcast to the scores {x.shape}") from None
+    out -= out.max(axis=-1, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True, dtype=np.float64).astype(np.float32)
 
     def bw(g):
         dot = (g * out).sum(axis=-1, keepdims=True)
-        return ((g - dot) * out,)
+        gx = g - dot
+        gx *= out
+        gx *= s
+        return (gx,)
 
     return record("softmax", out, (x,), bw)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
+    """Normalize the last axis to zero mean / unit variance, then affine.
+
+    The tape keeps each row's mean and 1/sigma; backward recomputes the
+    normalized input from `x` by the forward's steps.
+    """
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise DimensionError(
             f"layer_norm: gain/bias must have shape ({d},), got {gain.shape} and {bias.shape}")
-    xd = x.data.astype(np.float64)
-    mu = np.add.reduce(xd, axis=-1, keepdims=True)
+    y = x.data.astype(np.float64)     # in place: x - mu, then x-hat, then the affine
+    mu = np.add.reduce(y, axis=-1, keepdims=True)
     mu /= d
-    xc = xd - mu
-    var = np.add.reduce(xc * xc, axis=-1, keepdims=True)
+    y -= mu
+    var = np.add.reduce(y * y, axis=-1, keepdims=True)
     var /= d
     inv = 1.0 / np.sqrt(var + NORM_EPS)
-    xhat = xc * inv
-    out = (xhat * gain.data + bias.data).astype(np.float32)
+    y *= inv
+    y *= gain.data
+    y += bias.data
+    out = y.astype(np.float32)
 
     def bw(g):
+        xhat = x.data.astype(np.float64)
+        xhat -= mu
+        xhat *= inv
         gd = g.astype(np.float64)
         dxhat = gd * gain.data
         m1 = np.add.reduce(dxhat, axis=-1, keepdims=True)
@@ -242,19 +293,23 @@ def rms_norm(x: Tensor, gain: Tensor) -> Tensor:
     """Scale the last axis to unit root-mean-square, then apply a gain.
 
     Unlike layer_norm nothing is subtracted, so a uniform shift of the
-    input still reaches the output (Zhang & Sennrich 2019).
+    input still reaches the output (Zhang & Sennrich 2019). The tape keeps
+    each row's 1/rms; backward recomputes the normalized input from `x`.
     """
     d = x.shape[-1]
     if gain.shape != (d,):
         raise DimensionError(f"rms_norm: gain must have shape ({d},), got {gain.shape}")
-    xd = x.data.astype(np.float64)
-    ms = np.add.reduce(xd * xd, axis=-1, keepdims=True)
+    y = x.data.astype(np.float64)     # in place: x, then x-hat, then times the gain
+    ms = np.add.reduce(y * y, axis=-1, keepdims=True)
     ms /= d
     inv = 1.0 / np.sqrt(ms + NORM_EPS)
-    xhat = xd * inv
-    out = (xhat * gain.data).astype(np.float32)
+    y *= inv
+    y *= gain.data
+    out = y.astype(np.float32)
 
     def bw(g):
+        xhat = x.data.astype(np.float64)
+        xhat *= inv
         gd = g.astype(np.float64)
         dxhat = gd * gain.data
         m = np.add.reduce(dxhat * xhat, axis=-1, keepdims=True)
@@ -285,24 +340,23 @@ def masked_cross_entropy(logits: Tensor, labels) -> Tensor:
         raise ValidationError(
             f"label {labels[bad[0]]} out of range [0, {v}) at position {int(bad[0])}")
 
-    n = int(valid.sum())
-    ld = logits.data.astype(np.float64)
+    rows = np.flatnonzero(valid)
+    n = rows.size
+    # Each row's log-sum-exp is its own, so taking only the supervised rows
+    # gives them the bits the whole [T, V] block would.
+    ld = logits.data[rows].astype(np.float64)
+    picked = labels[rows]
     m = ld.max(axis=-1, keepdims=True)
     lse = (m + np.log(np.exp(ld - m).sum(axis=-1, keepdims=True))).reshape(-1)
-    if n == 0:
-        loss = np.float64(0.0)
-    else:
-        picked = ld[np.arange(t), np.clip(labels, 0, v - 1)]
-        # Scalar losses keep their float64 accumulation; this is what makes
-        # finite-difference checks against them meaningful.
-        loss = np.float64(((lse - picked)[valid]).sum() / n)
+    # Scalar losses keep their float64 accumulation; this is what makes
+    # finite-difference checks against them meaningful.
+    loss = np.float64((lse - ld[np.arange(n), picked]).sum() / n) if n else np.float64(0.0)
 
     def bw(g):
         gl = np.zeros((t, v), dtype=np.float32)
         if n > 0:
-            rows = np.where(valid)[0]
-            p = np.exp(ld[rows] - lse[rows, None])
-            p[np.arange(rows.size), labels[rows]] -= 1.0
+            p = np.exp(ld - lse[:, None])
+            p[np.arange(n), picked] -= 1.0
             gl[rows] = (p * (float(g) / n)).astype(np.float32)
         return (gl,)
 

@@ -16,8 +16,8 @@ from vlmkit.model import (LanguageModel, LLMConfig, MultiHeadAttention, VisionTo
                           build_model, compose_multimodal)
 from vlmkit.model.layers import interleave_rows
 from vlmkit.numerics import (Rng, Tensor, backward, concat, embedding, grad_check, layer_norm,
-                             masked_cross_entropy, matmul, narrow, reshape, scale, transpose,
-                             tsum)
+                             masked_cross_entropy, matmul, narrow, reshape, scale, softmax,
+                             transpose, tsum)
 from vlmkit.registry import registry
 
 
@@ -51,6 +51,22 @@ def _llm():
 
 def _image_index_past_the_end(tmp):
     return compose_multimodal(np.array([1, 2]), None, _t(2, 8), 2, _llm())
+
+
+def _write_into_missing_dir(tmp):
+    path = str(tmp / "missing" / "x.ppm")
+    return lambda: write_ppm(path, np.zeros((2, 2, 3), np.uint8)), path
+
+
+def _synth_under_a_file(tmp):
+    (tmp / "file").write_text("x", encoding="utf-8")
+    path = str(tmp / "file" / "work")
+    return lambda: synth_vqa_generate(path, 1, 0, "train"), path
+
+
+def _synth_json_onto_a_dir(tmp):
+    (tmp / "train.json").mkdir()
+    return lambda: synth_vqa_generate(str(tmp), 1, 0, "train"), str(tmp / "train.json")
 
 
 ERRORS = [
@@ -119,6 +135,7 @@ ERRORS = [
     pytest.param(ValidationError, lambda tmp: _t(2).item(), id="item"),
     pytest.param(ValidationError, lambda tmp: backward(_t(1)), id="backward-unrecorded"),
     pytest.param(DimensionError, lambda tmp: matmul(_t(3), _t(3, 3)), id="matmul-1d"),
+    pytest.param(ValidationError, lambda tmp: softmax(_t(2, 3), True), id="softmax-factor-bool"),
     pytest.param(DimensionError, lambda tmp: layer_norm(_t(2, 3), _t(4), _t(4)),
                  id="layer_norm-gain"),
     pytest.param(DimensionError, lambda tmp: masked_cross_entropy(_t(3), [0, 0, 0]),
@@ -183,6 +200,19 @@ def test_a_path_no_os_call_takes_is_named(tmp_path, call, name, message):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("setup, strerror", [
+    pytest.param(_write_into_missing_dir, "No such file or directory", id="write_ppm-missing-dir"),
+    pytest.param(_synth_under_a_file, "Not a directory", id="synth-workdir-under-file"),
+    pytest.param(_synth_json_onto_a_dir, "Is a directory", id="synth-json-is-a-dir"),
+])
+def test_a_write_the_os_refuses_names_the_path(tmp_path, setup, strerror):
+    call, path = setup(tmp_path)
+    with pytest.raises(ValidationError) as ei:
+        call()
+    assert type(ei.value) is ValidationError
+    assert str(ei.value) == f"{path}: cannot write ({strerror})"
+
+
 def test_a_record_image_path_with_nul_is_refused_by_record(tmp_path):
     with pytest.raises(ValidationError) as ei:
         _nul_image_dataset(tmp_path)
@@ -215,6 +245,8 @@ def test_bilinear_resize_refuses_by_name(img, out_h, out_w, name):
     pytest.param(lambda: narrow(_t(3, 2), 0, 0.5, 1), "narrow start must be an integer",
                  id="narrow"),
     pytest.param(lambda: scale(_t(2), "a"), "scale factor must be a real number", id="scale"),
+    pytest.param(lambda: softmax(_t(2), "a"), "softmax factor must be a real number",
+                 id="softmax"),
 ])
 def test_index_and_factor_checks_name_the_op(call, prefix):
     with pytest.raises(ValidationError) as ei:

@@ -12,7 +12,8 @@ when that is not an integer of at least 1); `resolve_model_config`
 either resolves a config or raises a `VlmkitError` that starts with the key
 it is about; `lr_schedule` either keeps its endpoints (exactly `peak_lr`
 where warmup ends, exactly 0 at `total_steps`) or raises a `VlmkitError`
-that names the argument.
+that names the argument; the fused `matmul` (bias) and `softmax` (scale and
+mask) give the bytes, output and gradients, of the ops they fold in.
 """
 
 import json
@@ -23,6 +24,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from helpers import FUZZ, reference_bilinear_resize, reference_tokenize
 from vlmkit.data import (BOS_ID, BUILTIN_TEMPLATES, IMAGE_ID, IMAGE_PLACEHOLDER, PAD_ID,
@@ -32,7 +34,7 @@ from vlmkit.data import (BOS_ID, BUILTIN_TEMPLATES, IMAGE_ID, IMAGE_PLACEHOLDER,
 from vlmkit.data.conversations import ROLE_ASSISTANT, ROLE_HUMAN
 from vlmkit.errors import VlmkitError
 from vlmkit.model import LLMConfig, QueryConfig, VisionTowerConfig, resolve_model_config
-from vlmkit.numerics import lr_schedule
+from vlmkit.numerics import Tensor, add, lr_schedule, matmul, mul, scale, softmax
 from vlmkit.numerics.ops import IGNORE_INDEX
 
 # -- load_dataset ------------------------------------------------------------------
@@ -490,3 +492,59 @@ def test_lr_schedule_keeps_its_endpoints_or_names_the_argument(step, total, peak
     assert lr_schedule(warmup, total, peak, warmup_ratio=ratio) == peak
     assert lr_schedule(total, total, peak, warmup_ratio=ratio) == 0.0
     assert 0.0 <= value <= peak
+
+
+# -- fused matmul and softmax ------------------------------------------------------
+
+# Signed zeros, a subnormal, and magnitudes whose products overflow float32.
+VALUES = st.floats(-1e4, 1e4, width=32) | st.sampled_from(
+    [0.0, -0.0, 1e-40, 1e30, -1e30, 3e38, -3e38])
+LEADS = st.sampled_from([(), (2,), (3, 1)])
+
+
+def _broadcasting_to(shape):
+    """Shapes that broadcast to `shape` without growing it: a suffix of its
+    axes, each kept or set to 1."""
+    return st.integers(0, len(shape)).flatmap(
+        lambda k: st.tuples(*[st.sampled_from([1, n]) for n in shape[len(shape) - k:]]))
+
+
+def _out_and_grads(op, values, g):
+    """op's output and the gradient of sum(op(...) * g) for each input, as bytes."""
+    leaves = [Tensor(v, requires_grad=True) for v in values]
+    with np.errstate(all="ignore"):
+        out = op(*leaves)
+        mul(out, Tensor(g)).sum().backward()
+    return [(a.shape, a.tobytes()) for a in [out.data] + [t.grad for t in leaves]]
+
+
+@FUZZ
+@given(data=st.data(), lead=LEADS, m=st.integers(1, 5), k=st.integers(1, 6), n=st.integers(1, 5))
+def test_matmul_with_bias_is_add_of_matmul_bitwise(data, lead, m, k, n):
+    b_shape = data.draw(st.sampled_from([(k, n), lead + (k, n)]))
+    out_shape = lead + (m, n)
+    values = [data.draw(arrays(np.float32, shape, elements=VALUES))
+              for shape in (lead + (m, k), b_shape, data.draw(_broadcasting_to(out_shape)))]
+    g = data.draw(arrays(np.float32, out_shape, elements=VALUES))
+    assert (_out_and_grads(matmul, values, g)
+            == _out_and_grads(lambda a, b, bias: add(matmul(a, b), bias), values, g))
+
+
+@FUZZ
+@given(data=st.data(), lead=LEADS, t=st.integers(1, 5), keys=st.integers(1, 7),
+       s=st.floats(width=32) | st.sampled_from([1.0, 0.125, -0.5, 0.0]))
+def test_softmax_with_scale_and_mask_is_softmax_of_the_composition_bitwise(data, lead, t, keys, s):
+    shape = lead + (t, keys)
+    x = data.draw(arrays(np.float32, shape, elements=VALUES))
+    mask_values = VALUES | st.sampled_from([-1e9, -math.inf])
+    mask = data.draw(st.none() | _broadcasting_to(shape).flatmap(
+        lambda m: arrays(np.float32, m, elements=mask_values)))
+    mask = None if mask is None else Tensor(mask)
+    g = data.draw(arrays(np.float32, shape, elements=VALUES))
+
+    def composed(x):
+        x = scale(x, s)
+        return softmax(x if mask is None else add(x, mask))
+
+    assert (_out_and_grads(lambda x: softmax(x, s, mask), [x], g)
+            == _out_and_grads(composed, [x], g))

@@ -1,5 +1,6 @@
 """Registry, towers, connectors, LLM, composition, and generation."""
 
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -18,6 +19,7 @@ from vlmkit.model import (
     LLMConfig,
     LanguageModel,
     MlpConnector,
+    MultiHeadAttention,
     QFormerConnector,
     QueryConfig,
     ResamplerConnector,
@@ -30,9 +32,10 @@ from vlmkit.model import (
     resolve_model_config,
     sequence_loss,
 )
+from vlmkit.model import llm as llm_module
 from vlmkit.model.layers import interleave_rows
-from vlmkit.numerics import (AdamW, Rng, Tensor, backward, concat, masked_cross_entropy, mul,
-                             narrow, no_grad, reshape, scale, tsum)
+from vlmkit.numerics import (AdamW, Rng, Tensor, backward, causal_mask, concat,
+                             masked_cross_entropy, mul, narrow, no_grad, reshape, scale, tsum)
 from vlmkit.numerics.ops import IGNORE_INDEX
 from vlmkit.registry import registry
 
@@ -365,10 +368,12 @@ def test_parameters_are_named_parameters_in_order(connector, mof):
     assert len(params) == len(named) and all(a is b for a, b in zip(params, named))
 
 
-# One default-model training step records these nodes, per op.
+# One default-model training step records these nodes, per op. Each Linear's
+# bias is added inside its matmul, and each attention's scale and mask inside
+# its softmax.
 DEFAULT_STEP_TAPE = {
-    "add": 39, "matmul": 36, "transpose": 21, "reshape": 16, "layer_norm": 9, "gelu": 5,
-    "softmax": 4, "scale": 4, "embedding": 2, "narrow": 1, "concat": 1,
+    "add": 10, "matmul": 36, "transpose": 21, "reshape": 16, "layer_norm": 9, "gelu": 5,
+    "softmax": 4, "embedding": 2, "narrow": 1, "concat": 1,
     "masked_cross_entropy": 1, "rms_norm": 1,
 }
 
@@ -385,6 +390,22 @@ def test_default_training_step_tape_census():
         counts[node.op] = counts.get(node.op, 0) + 1
         stack.extend(t._node for t in node.inputs)
     assert counts == DEFAULT_STEP_TAPE
+
+
+def test_default_training_step_graph_holds_under_4_mb():
+    """The live bytes a default step's forward leaves behind, its graph, for a
+    ~124-position llava_v1 sample: what backward will read, and not much more."""
+    model = build_model({}, seed=SEED)
+    sample = _sample_for(model)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        loss, _ = sequence_loss(model, sample)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert loss.item() > 0
+    assert held < 4_000_000, f"the step's graph holds {held / 1e6:.2f} MB"
 
 
 def test_gradient_flow_reaches_every_parameter():
@@ -615,6 +636,33 @@ def test_cached_forward_matches_one_full_forward(chunks):
             assert cache.length == start
         cached = concat(rows, axis=0).data
     np.testing.assert_allclose(cached, full, rtol=0, atol=1e-5)
+
+
+@pytest.mark.parametrize("rows, keys", [(1, 1), (1, 9), (6, 6), (3, 8)])
+def test_attention_with_an_all_zero_mask_equals_no_mask_bytewise(rows, keys):
+    attn = MultiHeadAttention(32, 4, Rng(5))
+    q = Tensor(np.random.default_rng(3).normal(size=(rows, 32)).astype(np.float32))
+    kv = Tensor(np.random.default_rng(4).normal(size=(keys, 32)).astype(np.float32))
+    zero = Tensor(np.zeros((rows, keys), dtype=np.float32))
+    assert attn(q, kv, zero).data.tobytes() == attn(q, kv).data.tobytes()
+
+
+def test_one_row_decode_step_builds_no_mask(monkeypatch):
+    llm = _deep_llm()
+    built = []
+
+    def recording_mask(t, start=0):
+        built.append((t, start))
+        return causal_mask(t, start)
+
+    monkeypatch.setattr(llm_module, "causal_mask", recording_mask)
+    embeds = Tensor(np.random.default_rng(6).normal(size=(7, 32)).astype(np.float32))
+    cache = llm.new_cache()
+    with no_grad():
+        llm.forward(narrow(embeds, 0, 0, 5), cache)
+        llm.forward(narrow(embeds, 0, 5, 1), cache)
+        llm.forward(narrow(embeds, 0, 6, 1), cache)
+    assert built == [(5, 0)]
 
 
 def test_cached_forward_past_max_positions_names_the_count():

@@ -43,7 +43,8 @@ from vlmkit.numerics import (
     tsum,
 )
 from vlmkit.numerics import ops, optim
-from vlmkit.numerics.ops import NORM_EPS
+from vlmkit.numerics.ops import IGNORE_INDEX, NORM_EPS
+from vlmkit.numerics.tensor import record
 
 
 def rand(shape, seed, lo=-2.0, hi=2.0):
@@ -83,6 +84,16 @@ def test_matmul_grad_wrt_second_operand():
     b = Tensor(rand((4, 2), seed=3), requires_grad=True)
     err = grad_check(lambda t: matmul(a, t).sum(), b)
     assert err < 1e-3
+
+
+def test_matmul_bias_and_softmax_scale_grads_match_finite_differences():
+    a, b = Tensor(rand((3, 4), seed=90)), Tensor(rand((4, 2), seed=91))
+    bias = Tensor(rand((2,), seed=92), requires_grad=True)
+    w = Tensor(rand((3, 2), seed=93))
+    assert grad_check(lambda t: mul(matmul(a, b, t), w).sum(), bias) < 1e-3
+    x = Tensor(rand((2, 3, 5), seed=94), requires_grad=True)
+    w = Tensor(rand((2, 3, 5), seed=95))
+    assert grad_check(lambda t: mul(softmax(t, 0.7, causal_mask(3, 2)), w).sum(), x) < 1e-3
 
 
 def test_batched_matmul_grad():
@@ -425,6 +436,162 @@ def test_cross_entropy_gradient():
     x = Tensor(rand((4, 6), seed=23), requires_grad=True)
     err = grad_check(lambda t: masked_cross_entropy(t, labels), x)
     assert err < 1e-3
+
+
+# -- fused ops against the compositions they replace ---------------------------------
+
+
+def _leaves(*arrays):
+    return [Tensor(a, requires_grad=True) for a in arrays]
+
+
+@pytest.mark.parametrize("a_shape, b_shape, bias_shape", [
+    ((1, 8), (8, 5), (5,)),
+    ((37, 8), (8, 5), (5,)),
+    ((3, 4, 8), (8, 5), (5,)),
+    ((2, 6, 8), (2, 8, 5), (6, 1)),
+    ((4, 3), (3, 2), ()),
+], ids=["1-row", "37-rows", "3d", "batched-column-bias", "scalar-bias"])
+def test_matmul_bias_matches_add_of_matmul_bitwise(a_shape, b_shape, bias_shape):
+    data = [rand(a_shape, 70), rand(b_shape, 71), rand(bias_shape, 72)]
+    g = rand(np.broadcast_shapes(a_shape[:-2], b_shape[:-2]) + (a_shape[-2], b_shape[-1]), 73)
+    fused = _out_and_grads(matmul, _leaves(*data), g)
+    plain = _out_and_grads(lambda a, b, bias: add(matmul(a, b), bias), _leaves(*data), g)
+    _assert_bitwise_equal(fused, plain)
+
+
+def _softmax_body(x: Tensor) -> Tensor:
+    """The softmax op before it took a scale and a mask."""
+    shifted = x.data - x.data.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    out = e / e.sum(axis=-1, keepdims=True, dtype=np.float64).astype(np.float32)
+
+    def bw(g):
+        dot = (g * out).sum(axis=-1, keepdims=True)
+        return ((g - dot) * out,)
+
+    return record("softmax", out, (x,), bw)
+
+
+def _scores_with_signed_zeros(shape, seed):
+    x = rand(shape, seed, lo=-6, hi=6)
+    x.reshape(-1)[::3] = -0.0
+    x.reshape(-1)[1::5] = 0.0
+    return x
+
+
+@pytest.mark.parametrize("plain_softmax", [softmax, _softmax_body], ids=["softmax", "body"])
+@pytest.mark.parametrize("shape, s, mask", [
+    ((4, 9, 9), 0.25, causal_mask(9)),
+    ((4, 1, 7), 0.125, causal_mask(1, 6)),
+    ((4, 9, 9), 1.0, causal_mask(9)),
+    ((4, 9, 9), 0.35355339059327373, None),
+    ((9, 9), 1.0, None),
+    ((2, 5, 6), -0.5, Tensor(np.where(rand((6,), 74) > 0, np.float32(-0.0), np.float32(-3.5)))),
+], ids=["3d-2d-mask", "one-row", "s=1", "no-mask", "s=1-no-mask", "negative-s-1d-mask"])
+def test_softmax_scale_mask_matches_the_composition_bitwise(plain_softmax, shape, s, mask):
+    x = _scores_with_signed_zeros(shape, 75)
+    g = rand(shape, 76)
+
+    def composed(t):
+        t = scale(t, s)
+        return plain_softmax(t if mask is None else add(t, mask))
+
+    fused = _out_and_grads(lambda t: softmax(t, s, mask), _leaves(x), g)
+    _assert_bitwise_equal(fused, _out_and_grads(composed, _leaves(x), g))
+
+
+def test_softmax_mask_takes_no_gradient_and_records_one_node():
+    x = Tensor(rand((2, 3, 3), 77), requires_grad=True)
+    mask = Tensor(np.zeros((3, 3), dtype=np.float32), requires_grad=True)
+    out = softmax(x, 0.5, mask)
+    assert out._node.op == "softmax" and out._node.inputs == (x,)
+    out.sum().backward()
+    assert mask.grad is None and x.grad is not None
+
+
+@pytest.mark.parametrize("call, shapes", [
+    (lambda: matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 4))), Tensor(np.zeros(5))),
+     ["(5,)", "(2, 4)"]),
+    (lambda: matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 4))),
+                    Tensor(np.zeros((3, 2, 4)))), ["(3, 2, 4)", "(2, 4)"]),
+    (lambda: softmax(Tensor(np.zeros((2, 3, 4))), 0.5, Tensor(np.zeros((3, 5)))),
+     ["(3, 5)", "(2, 3, 4)"]),
+], ids=["matmul-bias", "matmul-bias-wider", "softmax-mask"])
+def test_a_bias_or_mask_that_does_not_broadcast_names_both_shapes(call, shapes):
+    with pytest.raises(DimensionError) as ei:
+        call()
+    assert all(shape in str(ei.value) for shape in shapes), str(ei.value)
+
+
+def _all_rows_cross_entropy(logits: Tensor, labels) -> Tensor:
+    """masked_cross_entropy as it was before it kept only the supervised rows:
+    the float64 log-sum-exp of every row, kept for backward."""
+    labels = np.asarray(labels)
+    t, v = logits.shape
+    valid = labels != IGNORE_INDEX
+    n = int(valid.sum())
+    ld = logits.data.astype(np.float64)
+    m = ld.max(axis=-1, keepdims=True)
+    lse = (m + np.log(np.exp(ld - m).sum(axis=-1, keepdims=True))).reshape(-1)
+    if n == 0:
+        loss = np.float64(0.0)
+    else:
+        picked = ld[np.arange(t), np.clip(labels, 0, v - 1)]
+        loss = np.float64(((lse - picked)[valid]).sum() / n)
+
+    def bw(g):
+        gl = np.zeros((t, v), dtype=np.float32)
+        if n > 0:
+            rows = np.where(valid)[0]
+            p = np.exp(ld[rows] - lse[rows, None])
+            p[np.arange(rows.size), labels[rows]] -= 1.0
+            gl[rows] = (p * (float(g) / n)).astype(np.float32)
+        return (gl,)
+
+    return record("masked_cross_entropy", np.asarray(loss), (logits,), bw)
+
+
+@pytest.mark.parametrize("labels", [
+    [IGNORE_INDEX] * 9,
+    [IGNORE_INDEX] * 4 + [17] + [IGNORE_INDEX] * 4,
+    [3, 0, 259, 17, 42, 5, 100, 7, 1],
+    [IGNORE_INDEX, 3, IGNORE_INDEX, 259, 0, IGNORE_INDEX, IGNORE_INDEX, 8, IGNORE_INDEX],
+], ids=["all-ignored", "one-row", "all-rows", "mixed"])
+def test_cross_entropy_on_supervised_rows_matches_the_all_rows_form_bitwise(labels):
+    logits = rand((9, 260), 78, lo=-8, hi=8)
+    got, want = _leaves(logits, logits)
+    loss_got, loss_want = masked_cross_entropy(got, labels), _all_rows_cross_entropy(want, labels)
+    assert loss_got.data.tobytes() == loss_want.data.tobytes()
+    loss_got.backward()
+    loss_want.backward()
+    _assert_bitwise_equal([got.grad], [want.grad])
+
+
+def _held_bytes(out: Tensor) -> int:
+    """Bytes of the arrays out's backward rule keeps beyond its inputs' data and
+    its output."""
+    node = out._node
+    shared = {id(t.data) for t in node.inputs} | {id(out.data)}
+    return sum(c.cell_contents.nbytes for c in node.backward_fn.__closure__
+               if isinstance(c.cell_contents, np.ndarray) and id(c.cell_contents) not in shared)
+
+
+def test_backward_rules_keep_only_what_they_read():
+    t, d, v = 37, 64, 260
+    x, gain, bias = _leaves(rand((t, d), 80), rand((d,), 81), rand((d,), 82))
+    w = Tensor(rand((d, v), 83), requires_grad=True)
+    labels = np.full(t, IGNORE_INDEX)
+    labels[[5, 30]] = [7, 259]
+    # The norms keep each row's float64 statistics, not the normalized input.
+    assert _held_bytes(layer_norm(x, gain, bias)) == 2 * t * 8
+    assert _held_bytes(rms_norm(x, gain)) == t * 8
+    # The fused ops keep no intermediate product or score matrix.
+    assert _held_bytes(matmul(x, w, Tensor(rand((v,), 84)))) == 0
+    scores = Tensor(rand((4, t, t), 85), requires_grad=True)
+    assert _held_bytes(softmax(scores, 0.125, causal_mask(t))) == 0
+    # The loss keeps its two supervised rows in float64 and their indices.
+    assert _held_bytes(masked_cross_entropy(matmul(x, w), labels)) <= 2 * v * 8 + 64
 
 
 # -- backward engine -------------------------------------------------------------
