@@ -11,7 +11,7 @@ from .conversations import (
 from .images import bilinear_resize, load_ppm, preprocess_image, write_ppm
 from .labeling import Batch, TokenizedSample, collate, tokenize_and_label, tokenize_prompt
 from .synth import ANSWER_VOCABULARY, make_sample, synth_vqa_generate
-from .templates import BUILTIN_TEMPLATES, ChatTemplate, EOS_TEXT, render_prompt
+from .templates import BUILTIN_TEMPLATES, ChatTemplate
 from .tokenizer import (
     BOS_ID,
     EOS_ID,
@@ -31,7 +31,6 @@ __all__ = [
     "ChatTemplate",
     "Conversation",
     "EOS_ID",
-    "EOS_TEXT",
     "IMAGE_ID",
     "IMAGE_PLACEHOLDER",
     "PAD_ID",
@@ -46,7 +45,6 @@ __all__ = [
     "load_ppm",
     "make_sample",
     "preprocess_image",
-    "render_prompt",
     "resolve_image_path",
     "synth_vqa_generate",
     "tokenize_and_label",

@@ -17,7 +17,7 @@ import os
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from ..errors import ValidationError, path_error
+from ..errors import ValidationError, naming, path_error
 from .tokenizer import IMAGE_PLACEHOLDER, require_utf8
 
 ROLE_HUMAN = "human"
@@ -39,8 +39,23 @@ class Conversation:
     turns: List[Turn] = field(default_factory=list)
 
     def validate(self):
+        if not isinstance(self.id, str):
+            raise ValidationError(f"conversation id must be a string, got {self.id!r}")
+        if not (self.image_path is None or isinstance(self.image_path, str)):
+            raise ValidationError(f"conversation '{self.id}': image path must be a string, "
+                                  f"got {type(self.image_path).__name__}")
+        if not isinstance(self.turns, (list, tuple)):
+            raise ValidationError(f"conversation '{self.id}': turns must be a list of Turn, "
+                                  f"got {type(self.turns).__name__}")
         placeholders: List[int] = []      # the turn of each "<image>", in order
         for i, turn in enumerate(self.turns):
+            if not isinstance(turn, Turn):
+                raise ValidationError(f"conversation '{self.id}': turn {i} must be a Turn, "
+                                      f"got {type(turn).__name__}")
+            if not (isinstance(turn.role, str) and isinstance(turn.text, str)):
+                raise ValidationError(
+                    f"conversation '{self.id}': turn {i} role and text must be strings, got "
+                    f"{type(turn.role).__name__} and {type(turn.text).__name__}")
             expected = ROLE_HUMAN if i % 2 == 0 else ROLE_ASSISTANT
             if turn.role != expected:
                 raise ValidationError(
@@ -95,10 +110,8 @@ def conversation_from_record(record: dict, index: int) -> Conversation:
     if not isinstance(conv_id, str):
         raise ValidationError(f"record {index}: 'id' must be a string, got {conv_id!r}")
     conv = Conversation(id=conv_id, image_path=image, turns=turns)
-    try:
+    with naming(f"record {index}"):
         conv.validate()
-    except ValidationError as exc:
-        raise ValidationError(f"record {index}: {exc}") from None
     return conv
 
 

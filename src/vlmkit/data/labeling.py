@@ -1,14 +1,16 @@
 """Tokenization with ground-truth label masking, and batch collation.
 
-The segments come from `templates.template_segments`, which alone defines
-their order. Each segment (system message, role markers, turn texts,
-specials) is tokenized on its own, so token boundaries never straddle
-segments, and `template_segments` rejects an "<image>" split across them.
-`ByteTokenizer.encode_pieces` walks the segments once: it encodes each text
-to UTF-8, joins the bytes, converts them to int32 ids in one step and writes
-BOS, EOS and IMAGE into the slots it recorded on the way, never by searching
-the bytes, since turn text may hold NUL. It returns where each segment ends,
-so the supervised ones become (start, end) spans.
+A conversation becomes tokens in one walk: `templates.template_segments`
+validates it and yields its segments (system message, role markers, turn
+texts, specials) in the one order it defines, and
+`ByteTokenizer.encode_pieces` encodes them in one pass. It encodes each
+text to UTF-8, joins the bytes, refuses an "<image>" split across segments,
+converts them to int32 ids in one step and writes BOS, EOS and IMAGE into
+the slots it recorded on the way, never by searching the bytes, since turn
+text may hold NUL. Each segment is encoded on its own, so token boundaries
+never straddle segments. The encoder returns where each segment ends, so
+the supervised ones become (start, end) spans. Any error from the encoder
+names the conversation.
 
 Labels carry the token id inside assistant answer text plus its terminator
 (EOS or the assistant suffix) and IGNORE_INDEX (-100) everywhere else: one
@@ -20,11 +22,11 @@ comes from the first turn, which is a human one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..errors import ValidationError, require_int
+from ..errors import ValidationError, naming, require_int
 from ..numerics.ops import IGNORE_INDEX
 from .conversations import Conversation
 from .templates import ChatTemplate, template_segments
@@ -48,8 +50,9 @@ def _tokenize(conv: Conversation, tpl: ChatTemplate, tok: ByteTokenizer,
     """The ids of `conv`'s template segments (see `template_segments` for
     `prompt`), the (start, end) span of each supervised segment, and the
     index of the image placeholder, if any."""
-    segments = template_segments(conv, tpl, prompt)
-    ids, ends, image_index = tok.encode_pieces([piece for piece, _ in segments])
+    segments = list(template_segments(conv, tpl, prompt))
+    with naming(f"conversation '{conv.id}'"):
+        ids, ends, image_index = tok.encode_pieces([piece for piece, _ in segments])
     # Segment k holds ids[ends[k - 1]:ends[k]].
     spans = [(start, end) for (_, supervised), start, end in zip(segments, [0] + ends, ends)
              if supervised]
@@ -89,7 +92,9 @@ class Batch:
     ids: np.ndarray                     # int32 [B, T]
     labels: np.ndarray                  # int32 [B, T]
     lengths: List[int]                  # kept length per row, before padding
-    images: Optional[np.ndarray]        # [B, 3, S, S] when every sample has one
+    # [B, 3, S, S] when every sample has one; when only some do, a list with
+    # each sample's image or None; None when no sample has one.
+    images: Union[np.ndarray, List[Optional[np.ndarray]], None]
     image_token_indices: List[Optional[int]] = field(default_factory=list)
     truncated: int = 0
 

@@ -1,7 +1,6 @@
 """Chat templates: the string scaffolding wrapped around conversation turns.
 
-Rendering is a pure function of (template, conversation). Three templates
-ship built in:
+Three templates ship built in:
 
   plain       empty markers; used for the caption-alignment pretraining
               stage
@@ -13,29 +12,26 @@ An answer ends with the template's assistant suffix when it has one, and
 with EOS when it does not, so every answer has a terminator to learn.
 
 The order of a conversation's pieces under a template is defined in one
-place, `template_segments`: BOS, system message, then per turn the user
-prefix/text/suffix or the assistant prefix/text and suffix or EOS. Rendering
-here and tokenizing in `labeling` only consume its segments.
+place, `template_segments`, the one walk: it validates the conversation,
+then yields BOS, the system message, and per turn the user
+prefix/text/suffix or the assistant prefix/text and suffix or EOS.
+`labeling` encodes those pieces in one pass; the token ids are the only
+rendering, and `ByteTokenizer.decode` of them is the text view.
 
-Segments are tokenized one by one, so "<image>" split across two of them
-(human "q<ima", assistant "ge>") gives no IMAGE token, yet would render as
-one. `template_segments` rejects such a conversation, which keeps every
-rendered placeholder an IMAGE token.
+Pieces are encoded one by one, so "<image>" split across two of them (human
+"q<ima", assistant "ge>") gives no IMAGE token, yet would read as one in the
+decoded text. The encoder refuses such pieces (see `tokenizer`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Tuple, Union
+from typing import Iterator, Tuple, Union
 
 from ..errors import ValidationError
 from ..registry import registry
 from .conversations import Conversation, ROLE_HUMAN
 from .tokenizer import BOS_ID, EOS_ID, IMAGE_PLACEHOLDER, require_utf8
-
-# String rendering of the EOS token in prompts (the tokenizer emits the
-# EOS id directly; this literal only appears in rendered text).
-EOS_TEXT = "</s>"
 
 
 @dataclass(frozen=True)
@@ -60,12 +56,10 @@ class ChatTemplate:
                     raise ValidationError(f"{where} holds '{IMAGE_PLACEHOLDER}'")
 
 
-_SPECIAL_TEXT = {BOS_ID: "", EOS_ID: EOS_TEXT}
-
-
 def template_segments(conv: Conversation, tpl: ChatTemplate,
-                      prompt: bool = False) -> List[Tuple[Union[str, int], bool]]:
-    """The (piece, supervised) segments of a validated conversation, in order.
+                      prompt: bool = False) -> Iterator[Tuple[Union[str, int], bool]]:
+    """The (piece, supervised) segments of a conversation, in order, after
+    validating it.
 
     A piece is text or a special id (BOS_ID, EOS_ID); supervised marks answer
     text and its terminator, which training labels.
@@ -73,23 +67,8 @@ def template_segments(conv: Conversation, tpl: ChatTemplate,
     With prompt=True the walk stops right after the final assistant prefix:
     a trailing assistant turn contributes its prefix only, and a conversation
     ending on a human turn gets the prefix appended (a generation prompt).
-
-    Raises ValidationError, naming the conversation, when the rendered
-    pieces join into an "<image>" that no single piece holds.
     """
     conv.validate()
-    segments = list(_walk(conv, tpl, prompt))
-    texts = [_SPECIAL_TEXT.get(piece, piece) for piece, _ in segments]
-    # A NUL between pieces breaks every placeholder that spans two of them.
-    if "".join(texts).count(IMAGE_PLACEHOLDER) != "\0".join(texts).count(IMAGE_PLACEHOLDER):
-        raise ValidationError(
-            f"conversation '{conv.id}': text split across template pieces joins into "
-            f"'{IMAGE_PLACEHOLDER}', which would render as a placeholder that is not one")
-    return segments
-
-
-def _walk(conv: Conversation, tpl: ChatTemplate,
-          prompt: bool) -> Iterator[Tuple[Union[str, int], bool]]:
     if tpl.add_bos:
         yield BOS_ID, False
     yield tpl.system_message, False
@@ -107,17 +86,6 @@ def _walk(conv: Conversation, tpl: ChatTemplate,
                 return
             yield turn.text, True
             yield tpl.assistant_suffix or EOS_ID, True
-
-
-def render_prompt(conv: Conversation, tpl: ChatTemplate,
-                  include_last_assistant: bool = True) -> str:
-    """Render a conversation to a flat string.
-
-    With include_last_assistant=False the result is the generation prompt:
-    it ends on the final assistant prefix (see `template_segments`).
-    """
-    segments = template_segments(conv, tpl, prompt=not include_last_assistant)
-    return "".join(_SPECIAL_TEXT.get(piece, piece) for piece, _ in segments)
 
 
 PLAIN = ChatTemplate(name="plain")

@@ -20,6 +20,25 @@ class RegistryError(ValidationError):
     """Unknown component name or conflicting registration."""
 
 
+class naming:
+    """Context manager prefixing any VlmkitError raised inside with `key`, the
+    record, sample, conversation or component it is about; the error keeps
+    its type. A class, not a generator, since it wraps every tokenization."""
+
+    __slots__ = ("key",)
+
+    def __init__(self, key: str):
+        self.key = key
+
+    def __enter__(self):
+        return None
+
+    def __exit__(self, kind, exc, tb):
+        if isinstance(exc, VlmkitError):
+            raise type(exc)(f"{self.key}: {exc}") from None
+        return False
+
+
 def path_error(path, verb: str, exc: Exception) -> ValidationError:
     """The ValidationError, naming `path`, for the OS layer's refusal to `verb`
     it: an OSError, or a ValueError for a path no OS call takes, one holding a

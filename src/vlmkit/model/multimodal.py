@@ -7,7 +7,6 @@ next-token shift happens exactly once, in `sequence_loss`.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import asdict
 from typing import List, Optional, Tuple
 
@@ -16,7 +15,7 @@ import numpy as np
 from ..data.conversations import Conversation
 from ..data.labeling import TokenizedSample, tokenize_prompt
 from ..data.tokenizer import EOS_ID, IMAGE_ID, ByteTokenizer
-from ..errors import ValidationError, VlmkitError, require_int
+from ..errors import ValidationError, naming, require_int
 from ..numerics import Rng, Tensor, concat, masked_cross_entropy, no_grad
 from ..numerics.ops import IGNORE_INDEX
 from ..registry import registry
@@ -108,7 +107,7 @@ def sequence_loss(model: MultimodalModel, sample: TokenizedSample) -> Tuple[Tens
     The sample's image and placeholder must come together, as
     `compose_multimodal` checks. Every error raised inside names the sample.
     """
-    with _naming(f"sample '{sample.conv_id}'"):
+    with naming(f"sample '{sample.conv_id}'"):
         image_embeds = None if sample.image is None else model.encode_image(sample.image)
         embeds, labels2, _ = compose_multimodal(
             sample.input_ids, sample.labels, image_embeds, sample.image_token_index, model.llm)
@@ -146,7 +145,7 @@ def generate(model: MultimodalModel, conv: Conversation,
     require_int("max_new_tokens", max_new_tokens, 0)
     llm = model.llm
     max_pos = llm.config.max_positions
-    with _naming(f"prompt '{conv.id}'"), no_grad():
+    with naming(f"prompt '{conv.id}'"), no_grad():
         ids, image_idx = tokenize_prompt(conv, model.template(), _TOKENIZER)
         image_embeds = None if image is None else model.encode_image(image)
         head = ids[:0 if image_idx is None else image_idx]
@@ -179,15 +178,6 @@ _MODEL_CONFIG_KEYS = ("vision", "mof", "llm", "connector", "template", "image_as
                       "image_tokens")
 
 
-@contextmanager
-def _naming(key: str):
-    """Prefix any VlmkitError raised inside with the key, sample or prompt it is about."""
-    try:
-        yield
-    except VlmkitError as exc:
-        raise type(exc)(f"{key}: {exc}") from None
-
-
 def _component(spec, kind: str, default: str, config_cls, **defaults):
     """(registered name, config) of a component spec; a null spec takes the defaults.
 
@@ -216,7 +206,7 @@ def resolve_model_config(cfg: dict) -> dict:
                 f"{key}: unknown model config key; known: {', '.join(_MODEL_CONFIG_KEYS)}")
     out: dict = {}
 
-    with _naming("vision"):
+    with naming("vision"):
         vision_name, vision_cfg = _component(cfg.get("vision"), "vision", "clip_tiny",
                                              VisionTowerConfig)
     out["vision"] = {"name": vision_name, "config": asdict(vision_cfg)}
@@ -224,17 +214,17 @@ def resolve_model_config(cfg: dict) -> dict:
     d_v = vision_cfg.width
     n_tokens = vision_cfg.num_patches
     if cfg.get("mof") is not None:
-        with _naming("mof"):
+        with naming("mof"):
             mof_name, mof_cfg = _component(cfg["mof"], "vision", vision_name, VisionTowerConfig)
             check_towers_match(vision_cfg, mof_cfg)
         out["mof"] = {"name": mof_name, "config": asdict(mof_cfg)}
         n_tokens *= 2
 
-    with _naming("llm"):
+    with naming("llm"):
         llm_name, llm_cfg = _component(cfg.get("llm"), "llm", "phi_tiny", LLMConfig)
     out["llm"] = {"name": llm_name, "config": asdict(llm_cfg)}
 
-    with _naming("connector"):
+    with naming("connector"):
         conn_name, conn_cfg = _component(cfg.get("connector"), "connector", "mlp",
                                          ConnectorConfig, d_v=d_v, d_m=llm_cfg.width)
         if conn_cfg.d_v != d_v:
@@ -247,7 +237,7 @@ def resolve_model_config(cfg: dict) -> dict:
     out["connector"] = {"name": conn_name, "config": asdict(conn_cfg)}
 
     template_name = cfg.get("template", "llava_v1")
-    with _naming("template"):
+    with naming("template"):
         registry.require("template", template_name)
     out["template"] = template_name
 
@@ -258,7 +248,7 @@ def resolve_model_config(cfg: dict) -> dict:
 
     # The sequence cost of one image in LLM positions.
     out["image_tokens"] = image_tokens = getattr(conn_cfg, "queries", n_tokens)
-    with _naming("image_tokens"):
+    with naming("image_tokens"):
         if require_int("image_tokens", cfg.get("image_tokens", image_tokens)) != image_tokens:
             raise ValidationError(f"{cfg['image_tokens']} is not the {image_tokens} image tokens "
                                   "the vision and connector configs give")

@@ -146,9 +146,6 @@ class Tensor:
             raise ValidationError(f"item() needs a scalar, got shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def is_leaf(self) -> bool:
-        return self._node is None
-
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"

@@ -1,11 +1,14 @@
 """Shared test helpers: random multilingual conversations, the fuzz profile, the
-reference bilinear resize and the reference tokenizer walk."""
+reference bilinear resize, the reference tokenizer walk and the decoded text
+of ids with EOS shown."""
 
 import numpy as np
 from hypothesis import settings
 
-from vlmkit.data import IMAGE_ID, IMAGE_PLACEHOLDER, Conversation, Turn
+from vlmkit.data import (BOS_ID, EOS_ID, IMAGE_ID, IMAGE_PLACEHOLDER, ByteTokenizer, Conversation,
+                         Turn)
 from vlmkit.data.templates import template_segments
+from vlmkit.errors import ValidationError
 from vlmkit.numerics.ops import IGNORE_INDEX
 
 # Fuzz tests see the same examples on every run, with no per-example time
@@ -63,12 +66,34 @@ def reference_bilinear_resize(img: np.ndarray, out_h: int, out_w: int) -> np.nda
     return (top * (1 - wy) + bot * wy).astype(np.float32)
 
 
+# How decoded text shows EOS, which `ByteTokenizer.decode` drops.
+EOS_MARK = "</s>"
+_TOK = ByteTokenizer()
+
+
+def decode_with_eos(ids) -> str:
+    """Decode ids, writing each EOS as EOS_MARK."""
+    ids = np.asarray(ids)
+    return EOS_MARK.join(_TOK.decode(part) for part in np.split(ids, np.where(ids == EOS_ID)[0]))
+
+
 def reference_tokenize(conv: Conversation, tpl, prompt: bool):
     """Ids, labels (int32) and image index of `conv` under `tpl`, built as
     lists one segment at a time and searched for the image token afterwards;
-    `tokenize_and_label` and `tokenize_prompt` must match it byte for byte."""
+    `tokenize_and_label` and `tokenize_prompt` must match it byte for byte.
+
+    It refuses a placeholder split across segments by its own rule, on text:
+    the segments joined with nothing (BOS as "", EOS as EOS_MARK) hold more
+    "<image>" than joined with NUL, which breaks every one that spans two.
+    """
+    segments = list(template_segments(conv, tpl, prompt))
+    texts = [{BOS_ID: "", EOS_ID: EOS_MARK}.get(piece, piece) for piece, _ in segments]
+    if "".join(texts).count(IMAGE_PLACEHOLDER) != "\0".join(texts).count(IMAGE_PLACEHOLDER):
+        raise ValidationError(
+            f"conversation '{conv.id}': text split across template pieces joins into "
+            f"'{IMAGE_PLACEHOLDER}', which would render as a placeholder that is not one")
     ids, labels = [], []
-    for piece, supervised in template_segments(conv, tpl, prompt):
+    for piece, supervised in segments:
         if isinstance(piece, int):
             seg = [piece]
         else:

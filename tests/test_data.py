@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import random_conversation, reference_bilinear_resize, reference_tokenize
+from helpers import (EOS_MARK, decode_with_eos, random_conversation, reference_bilinear_resize,
+                     reference_tokenize)
 from vlmkit.data import (
     ANSWER_VOCABULARY,
     BOS_ID,
@@ -17,7 +18,6 @@ from vlmkit.data import (
     ChatTemplate,
     Conversation,
     EOS_ID,
-    EOS_TEXT,
     IMAGE_ID,
     PAD_ID,
     Turn,
@@ -27,13 +27,13 @@ from vlmkit.data import (
     load_ppm,
     make_sample,
     preprocess_image,
-    render_prompt,
     synth_vqa_generate,
     tokenize_and_label,
     tokenize_prompt,
     write_ppm,
 )
 from vlmkit.data.synth import _existence_ordinal
+from vlmkit.data.templates import template_segments
 from vlmkit.errors import ValidationError
 from vlmkit.numerics.ops import IGNORE_INDEX
 
@@ -56,6 +56,42 @@ def test_tokenizer_image_placeholder_is_single_token():
 
 def test_tokenizer_specials_skipped_in_decode():
     assert TOK.decode([BOS_ID, ord("h"), ord("i"), EOS_ID, PAD_ID]) == "hi"
+
+
+def test_decode_takes_numpy_and_python_integers():
+    want = "hi<image>"
+    for ids in ([104, 105, IMAGE_ID], np.array([104, 105, IMAGE_ID], np.int64),
+                [np.uint8(104), np.int32(105), np.int16(IMAGE_ID)]):
+        assert TOK.decode(ids) == want
+
+
+@pytest.mark.parametrize("ids, at, problem", [
+    ([1.5], 0, "must be an integer, got 1.5"),
+    ([104, 105.0], 1, "must be an integer, got 105.0"),
+    (["a"], 0, "must be an integer, got 'a'"),
+    ([104, True], 1, "must be an integer, got True"),
+    (np.array([104.0]), 0, "must be an integer, got np.float64(104.0)"),
+    ([None], 0, "must be an integer, got None"),
+    ([104, 105, 999], 2, "is 999, outside the vocabulary [0, 260)"),
+    (np.array([-1]), 0, "is -1, outside the vocabulary [0, 260)"),
+], ids=["float", "integral-float", "str", "bool", "numpy-float", "none", "past-vocab", "negative"])
+def test_decode_rejects_ids_by_position(ids, at, problem):
+    # Rejected, not truncated: decode([1.5]) was '\x01'.
+    with pytest.raises(ValidationError) as ei:
+        TOK.decode(ids)
+    assert type(ei.value) is ValidationError
+    assert str(ei.value) == f"token id at position {at} {problem}"
+
+
+@pytest.mark.parametrize("piece", [5, PAD_ID, IMAGE_ID, True, 1.5, None, b"a", np.int64(BOS_ID)],
+                         ids=["5", "pad", "image", "true", "float", "none", "bytes", "np-bos"])
+def test_encode_takes_only_text_and_encode_pieces_only_text_bos_and_eos(piece):
+    with pytest.raises(ValidationError) as ei:
+        TOK.encode(piece)
+    assert str(ei.value) == f"encode takes text, got {piece!r}"
+    with pytest.raises(ValidationError) as ei:
+        TOK.encode_pieces(["a", piece])
+    assert str(ei.value) == f"piece 1 is {piece!r}, not text, BOS_ID or EOS_ID"
 
 
 # -- dataset loading -----------------------------------------------------------
@@ -192,23 +228,25 @@ def _square_conv():
 def test_render_zero_turns_is_system_message():
     conv = Conversation(id="e")
     tpl = BUILTIN_TEMPLATES["llava_v1"]
-    assert render_prompt(conv, tpl) == tpl.system_message
+    ids, _ = tokenize_prompt(conv, tpl, TOK)
+    assert decode_with_eos(ids) == tpl.system_message
 
 
 def test_render_llava_v1_golden():
-    out = render_prompt(_square_conv(), BUILTIN_TEMPLATES["llava_v1"])
+    out = decode_with_eos(tokenize_and_label(_square_conv(), BUILTIN_TEMPLATES["llava_v1"],
+                                             TOK).input_ids)
     assert out == ("A chat between a curious user and an artificial intelligence "
                    "assistant. USER: <image>\nWhat color is the square? ASSISTANT: red</s>")
 
 
 def test_render_plain_golden():
-    out = render_prompt(_square_conv(), BUILTIN_TEMPLATES["plain"])
+    out = decode_with_eos(tokenize_and_label(_square_conv(), BUILTIN_TEMPLATES["plain"],
+                                             TOK).input_ids)
     assert out == "<image>\nWhat color is the square?red</s>"
 
 
 def test_render_generation_prompt_keeps_prefix():
-    out = render_prompt(_square_conv(), BUILTIN_TEMPLATES["llava_v1"],
-                        include_last_assistant=False)
+    out = decode_with_eos(tokenize_prompt(_square_conv(), BUILTIN_TEMPLATES["llava_v1"], TOK)[0])
     assert out.endswith("ASSISTANT: ")
     assert "red" not in out
 
@@ -217,47 +255,48 @@ def test_render_pure_and_templates_distinct():
     conv = _square_conv()
     rendered = {}
     for name, tpl in BUILTIN_TEMPLATES.items():
-        a = render_prompt(conv, tpl)
-        b = render_prompt(conv, tpl)
-        assert a == b
-        rendered[name] = a
+        a = tokenize_and_label(conv, tpl, TOK).input_ids
+        b = tokenize_and_label(conv, tpl, TOK).input_ids
+        assert a.tobytes() == b.tobytes()
+        rendered[name] = decode_with_eos(a)
     assert len(set(rendered.values())) == len(rendered)
 
 
-def _decode_with_eos(ids):
-    """Decode ids, writing each EOS as the rendered EOS text."""
-    ids = np.asarray(ids)
-    return EOS_TEXT.join(TOK.decode(part) for part in np.split(ids, np.where(ids == EOS_ID)[0]))
-
-
 def test_render_agrees_with_tokenized_prompts():
-    # Rendering and tokenizing walk the same segments: decoding the ids gives
-    # the rendered text, and a generation prompt ends on the assistant prefix
-    # whether the last turn is an assistant or a human one. A lone question has
-    # no labeled ids, so its full render is checked as the prompt's head.
+    # A generation prompt ends on the assistant prefix whether the last turn
+    # is an assistant or a human one. Decoded, it is the sample's text cut
+    # before the last answer, or the sample's text plus the prefix after a
+    # last question; a lone question has no sample and is checked piece by
+    # piece.
     rng = np.random.default_rng(5)
     for k in range(60):
         conv = random_conversation(rng, conv_id=f"c{k}")
         if k % 3 == 0:
             conv.turns.pop()
+        last = conv.turns[-1]
         for tpl in BUILTIN_TEMPLATES.values():
             ids, _ = tokenize_prompt(conv, tpl, TOK)
-            prompt = render_prompt(conv, tpl, include_last_assistant=False)
-            assert prompt == _decode_with_eos(ids)
+            prompt = decode_with_eos(ids)
             assert prompt.endswith(tpl.assistant_prefix)
             if len(conv.turns) == 1:
-                assert render_prompt(conv, tpl) + tpl.assistant_prefix == prompt
+                assert prompt == (tpl.system_message + tpl.user_prefix + last.text
+                                  + tpl.user_suffix + tpl.assistant_prefix)
                 continue
-            full = tokenize_and_label(conv, tpl, TOK)
-            assert render_prompt(conv, tpl) == _decode_with_eos(full.input_ids)
+            full = decode_with_eos(tokenize_and_label(conv, tpl, TOK).input_ids)
+            if last.role == "assistant":
+                assert full == prompt + last.text + (tpl.assistant_suffix or EOS_MARK)
+            else:
+                assert prompt == full + tpl.assistant_prefix
 
 
 def test_render_generation_prompt_after_human_turn_adds_prefix():
     conv = _square_conv()
     conv.turns.pop()
-    out = render_prompt(conv, BUILTIN_TEMPLATES["llava_v1"], include_last_assistant=False)
+    tpl = BUILTIN_TEMPLATES["llava_v1"]
+    out = decode_with_eos(tokenize_prompt(conv, tpl, TOK)[0])
     assert out.endswith("What color is the square? ASSISTANT: ")
-    assert render_prompt(conv, BUILTIN_TEMPLATES["llava_v1"]).endswith("square? ")
+    full, _, _ = TOK.encode_pieces([piece for piece, _ in template_segments(conv, tpl)])
+    assert decode_with_eos(full).endswith("square? ")
 
 
 @pytest.mark.parametrize("tpl, turns", [
@@ -267,10 +306,12 @@ def test_render_generation_prompt_after_human_turn_adds_prefix():
 ])
 def test_placeholder_split_across_pieces_is_rejected(tpl, turns):
     conv = Conversation(id="split", turns=turns)
-    for call in (lambda: render_prompt(conv, tpl),
-                 lambda: tokenize_and_label(conv, tpl, TOK)):
-        with pytest.raises(ValidationError, match="conversation 'split': text split across"):
-            call()
+    with pytest.raises(ValidationError, match="^conversation 'split': text split across"):
+        tokenize_and_label(conv, tpl, TOK)
+    # The encoder refuses the walk's pieces on its own, naming no conversation.
+    pieces = [piece for piece, _ in template_segments(conv, tpl)]
+    with pytest.raises(ValidationError, match="^text split across template pieces joins into"):
+        TOK.encode_pieces(pieces)
 
 
 @pytest.mark.parametrize("field", ["system_message", "user_prefix", "user_suffix",

@@ -9,8 +9,9 @@ import json
 import numpy as np
 import pytest
 
-from vlmkit.data import (ByteTokenizer, ChatTemplate, bilinear_resize, collate, load_dataset,
-                         load_ppm, preprocess_image, synth_vqa_generate, write_ppm)
+from vlmkit.data import (BUILTIN_TEMPLATES, ByteTokenizer, ChatTemplate, Conversation, Turn,
+                         bilinear_resize, collate, load_dataset, load_ppm, preprocess_image,
+                         synth_vqa_generate, tokenize_and_label, tokenize_prompt, write_ppm)
 from vlmkit.errors import DimensionError, RegistryError, ValidationError
 from vlmkit.model import (LanguageModel, LLMConfig, MultiHeadAttention, VisionTowerConfig,
                           build_model, compose_multimodal)
@@ -260,3 +261,65 @@ def test_integer_ops_keep_the_callers_integer_dtype():
         np.testing.assert_array_equal(embedding(table, np.array([3, 0], dtype=dtype)).data,
                                       table.data[[3, 0]])
     assert embedding(table, []).shape == (0, 2)
+
+
+def _tokenized(conv):
+    """The message of the ValidationError that tokenizing `conv` as a sample
+    and as a prompt must both raise, alike."""
+    messages = []
+    for call in (tokenize_and_label, tokenize_prompt):
+        with pytest.raises(ValidationError) as ei:
+            call(conv, BUILTIN_TEMPLATES["llava_v1"], ByteTokenizer())
+        assert type(ei.value) is ValidationError
+        messages.append(str(ei.value))
+    assert messages[0] == messages[1]
+    return messages[0]
+
+
+@pytest.mark.parametrize("conv, message", [
+    pytest.param(Conversation("x", None, None),
+                 "turns must be a list of Turn, got NoneType", id="turns-none"),
+    pytest.param(Conversation("x", None, "q"), "turns must be a list of Turn, got str",
+                 id="turns-str"),
+    pytest.param(Conversation("x", None, [("human", "q")]), "turn 0 must be a Turn, got tuple",
+                 id="turn-tuple"),
+    pytest.param(Conversation("x", None, [Turn("human", None)]),
+                 "turn 0 role and text must be strings, got str and NoneType", id="text-none"),
+    pytest.param(Conversation("x", None, [Turn(None, "q")]),
+                 "turn 0 role and text must be strings, got NoneType and str", id="role-none"),
+    pytest.param(Conversation("x", None, (Turn("human", "q"), Turn("assistant", b"a"))),
+                 "turn 1 role and text must be strings, got str and bytes", id="text-bytes"),
+])
+def test_a_conversation_field_of_the_wrong_type_is_named(conv, message):
+    assert _tokenized(conv) == f"conversation 'x': {message}"
+
+
+@pytest.mark.parametrize("conv, message", [
+    pytest.param(Conversation(["x"], None, []), "conversation id must be a string, got ['x']",
+                 id="id-list"),
+    pytest.param(Conversation("x", 5, [Turn("human", "<image>q"), Turn("assistant", "a")]),
+                 "conversation 'x': image path must be a string, got int", id="image-path-int"),
+])
+def test_a_conversation_id_or_image_path_of_the_wrong_type_is_named(conv, message):
+    assert _tokenized(conv) == message
+
+
+# Wrong JSON types that `tests/test_data.py`'s malformed-record table does not
+# hold; the record parser refuses them before a Conversation exists.
+@pytest.mark.parametrize("record, message", [
+    pytest.param({"conversations": None}, "'conversations' must be an array, got NoneType",
+                 id="conversations-null"),
+    pytest.param({"conversations": [None]}, "turn 0 must be an object, got NoneType",
+                 id="turn-null"),
+    pytest.param({"conversations": [{"from": "human", "value": 5}]},
+                 "turn 0 'value' must be a string, got int", id="value-int"),
+    pytest.param({"conversations": [{"from": 5, "value": "q"}]},
+                 "turn 0 has unknown 'from' value 5", id="from-int"),
+])
+def test_a_record_field_of_the_wrong_type_is_named_by_record(tmp_path, record, message):
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps([{"id": "a"}, record]), encoding="utf-8")
+    with pytest.raises(ValidationError) as ei:
+        load_dataset(str(path))
+    assert type(ei.value) is ValidationError
+    assert str(ei.value) == f"record 1: {message}"

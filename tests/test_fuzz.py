@@ -4,7 +4,8 @@ For any input, `load_dataset` and `load_ppm` either return a well-formed
 result or raise a `VlmkitError` that names the record or the file;
 `tokenize_and_label` and `tokenize_prompt` either raise a `VlmkitError` or
 return ids and labels that agree with each other and with the template, and
-byte for byte with the reference list walk;
+byte for byte with the reference list walk, and refuse a placeholder split
+across template pieces exactly when the reference's joined-text rule does;
 `bilinear_resize` either matches the reference resize bit for bit or raises
 a `VlmkitError` that starts with the bad argument; `collate` either batches
 its samples or raises a `VlmkitError` that names the sample (or `pad_to`,
@@ -26,12 +27,12 @@ import pytest
 from hypothesis import example, given, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import FUZZ, reference_bilinear_resize, reference_tokenize
-from vlmkit.data import (BOS_ID, BUILTIN_TEMPLATES, IMAGE_ID, IMAGE_PLACEHOLDER, PAD_ID,
-                         ByteTokenizer, Conversation, Turn, bilinear_resize, collate,
-                         load_dataset, load_ppm, render_prompt, tokenize_and_label,
-                         tokenize_prompt)
+from helpers import FUZZ, decode_with_eos, reference_bilinear_resize, reference_tokenize
+from vlmkit.data import (BUILTIN_TEMPLATES, IMAGE_ID, IMAGE_PLACEHOLDER, PAD_ID, ByteTokenizer,
+                         ChatTemplate, Conversation, Turn, bilinear_resize, collate, load_dataset,
+                         load_ppm, tokenize_and_label, tokenize_prompt)
 from vlmkit.data.conversations import ROLE_ASSISTANT, ROLE_HUMAN
+from vlmkit.data.templates import template_segments
 from vlmkit.errors import VlmkitError
 from vlmkit.model import LLMConfig, QueryConfig, VisionTowerConfig, resolve_model_config
 from vlmkit.numerics import Tensor, add, lr_schedule, matmul, mul, scale, softmax
@@ -222,22 +223,21 @@ def test_tokenize_labels_or_raises(conv, tpl):
         if not str(exc).endswith("has no assistant turn"):
             return
         # Nothing to label, so the ids to check the prompt against are the
-        # render's bytes after BOS (no EOS: only an answer ends with one).
+        # encoded walk (no EOS: only an answer ends with one).
         assert ROLE_ASSISTANT not in [turn.role for turn in conv.turns]
-        ids = np.array([BOS_ID] * tpl.add_bos + TOK.encode(render_prompt(conv, tpl)))
+        ids = TOK.encode_pieces([piece for piece, _ in template_segments(conv, tpl)])[0]
         labels = np.full(len(ids), IGNORE_INDEX)
         image_token_index = int(np.argmax(ids == IMAGE_ID)) if IMAGE_ID in ids else None
     assert len(labels) == len(ids)
     sup = labels != IGNORE_INDEX
     assert (labels[sup] == ids[sup]).all()
     assert not sup[ids == IMAGE_ID].any()
-    # Every placeholder a render shows is an IMAGE token.
-    assert render_prompt(conv, tpl).count(IMAGE_PLACEHOLDER) == (ids == IMAGE_ID).sum()
+    # Every placeholder the decoded ids show, EOS shown too, is an IMAGE token.
+    assert decode_with_eos(ids).count(IMAGE_PLACEHOLDER) == (ids == IMAGE_ID).sum()
 
     prompt, image_index = tokenize_prompt(conv, tpl, TOK)
     assert image_index == image_token_index
-    rendered = render_prompt(conv, tpl, include_last_assistant=False)
-    assert rendered.count(IMAGE_PLACEHOLDER) == (prompt == IMAGE_ID).sum()
+    assert decode_with_eos(prompt).count(IMAGE_PLACEHOLDER) == (prompt == IMAGE_ID).sum()
     last = conv.turns[-1] if conv.turns else None
     if last is None:
         np.testing.assert_array_equal(prompt, ids)
@@ -283,6 +283,64 @@ def test_tokenize_matches_the_reference_walk(conv, tpl, prompt):
     for got, want in pairs:
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     assert got_index == image_index
+
+
+# Pieces of "<image>" that can join across turns and template fields.
+FRAGMENTS = st.sampled_from(["<", "<i", "<im", "<ima", "<imag", "<image", "image>", "mage>", "age>",
+                             "ge>", "e>", ">", "<image>", "\0", "é"])
+TEMPLATE_FIELDS = ("system_message", "user_prefix", "user_suffix", "assistant_prefix",
+                   "assistant_suffix")
+
+
+def fragment_texts(max_parts):
+    return st.lists(FRAGMENTS, min_size=1, max_size=max_parts).map("".join)
+
+
+@st.composite
+def fragment_cases(draw):
+    """A template and a conversation whose texts are joined "<image>" fragments;
+    the conversation has an image path exactly when a turn holds "<image>"."""
+    fields = {name: draw(st.just("") | fragment_texts(2).filter(
+        lambda t: IMAGE_PLACEHOLDER not in t)) for name in TEMPLATE_FIELDS}
+    tpl = ChatTemplate("frag", add_bos=draw(st.booleans()), **fields)
+    texts = draw(st.lists(fragment_texts(3), min_size=1, max_size=4))
+    turns = [Turn(ROLE_ASSISTANT if i % 2 else ROLE_HUMAN, t) for i, t in enumerate(texts)]
+    has_image = any(IMAGE_PLACEHOLDER in t for t in texts)
+    return Conversation("frag", "x.ppm" if has_image else None, turns), tpl
+
+
+@FUZZ
+@given(case=fragment_cases(), prompt=st.booleans())
+@example(case=(Conversation("frag", None, [Turn(ROLE_HUMAN, "q<ima"), Turn(ROLE_ASSISTANT, "ge>")]),
+               BUILTIN_TEMPLATES["plain"]), prompt=False)
+@example(case=(Conversation("frag", None, [Turn(ROLE_HUMAN, "a <im")]),
+               ChatTemplate("frag", user_suffix="age>")), prompt=True)
+@example(case=(Conversation("frag", None, [Turn(ROLE_HUMAN, "<ima")]),
+               ChatTemplate("frag", assistant_prefix="ge>")), prompt=True)
+@example(case=(Conversation("frag", "x.ppm", [Turn(ROLE_HUMAN, "<ima<image>ge>"),
+                                              Turn(ROLE_ASSISTANT, "a")]),
+               BUILTIN_TEMPLATES["plain"]), prompt=False)
+@example(case=(Conversation("frag", None, [Turn(ROLE_HUMAN, "q"), Turn(ROLE_ASSISTANT, "<ima"),
+                                           Turn(ROLE_HUMAN, "ge>")]),
+               BUILTIN_TEMPLATES["plain"]), prompt=True)
+def test_split_placeholder_is_refused_exactly_when_the_joined_text_shows_one(case, prompt):
+    # The reference refuses by joining the pieces' text, the library by the
+    # bytes its encoder joins; the two must fire together, with one message.
+    conv, tpl = case
+    try:
+        reference_tokenize(conv, tpl, prompt)
+        want = None
+    except VlmkitError as exc:
+        want = str(exc)
+    try:
+        (tokenize_prompt if prompt else tokenize_and_label)(conv, tpl, TOK)
+        got = None
+    except VlmkitError as exc:
+        got = str(exc)
+    if want is None and got is not None:
+        assert not prompt and got.endswith("has no assistant turn"), got
+    else:
+        assert got == want
 
 
 # -- collate ---------------------------------------------------------------------------

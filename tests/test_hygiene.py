@@ -7,6 +7,8 @@ package defines is read somewhere in `src/`, `tests/` or `bench/`. The
 package imports and trains without scipy, which it does not depend on.
 Every op name `numerics/ops.py` records on the tape is one the benchmark's
 tracer times, so no op's time can hide in `numerics.ops.outside.share`.
+Only `errors.py` catches the package's own errors, so an error gets the
+prefix that names what it is about in one way, `errors.naming`.
 """
 
 import ast
@@ -163,3 +165,31 @@ def test_every_recorded_op_is_one_the_tracer_times():
     recorded = _recorded_ops()
     assert "matmul" in recorded and "softmax" in recorded, recorded
     assert recorded - _traced_ops() == UNTRACED_OPS
+
+
+def _package_errors():
+    """The exception classes `errors.py` defines, read from the source, plus
+    the built-in bases that catch them."""
+    caught = {"Exception", "BaseException"}
+    for n in ast.parse((PACKAGE / "errors.py").read_text(encoding="utf-8")).body:
+        if isinstance(n, ast.ClassDef) and any(getattr(b, "id", None) in caught for b in n.bases):
+            caught.add(n.name)
+    return caught
+
+
+def test_only_errors_py_catches_the_package_errors():
+    caught = _package_errors()
+    assert {"VlmkitError", "ValidationError", "DimensionError", "RegistryError"} <= caught
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path == PACKAGE / "errors.py":
+            continue
+        for n in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(n, ast.ExceptHandler):
+                continue
+            types = n.type.elts if isinstance(n.type, ast.Tuple) else [n.type]
+            names = {t.id if isinstance(t, ast.Name) else getattr(t, "attr", None)
+                     for t in types}
+            if n.type is None or names & caught:
+                found.append(f"{path.relative_to(PACKAGE).as_posix()}:{n.lineno}")
+    assert not found, f"catches a package error outside errors.py: {', '.join(found)}"

@@ -678,7 +678,7 @@ def test_no_grad_suppresses_recording():
     x = Tensor([1.0], requires_grad=True)
     with no_grad():
         y = mul(x, x)
-    assert not y.requires_grad and y.is_leaf()
+    assert not y.requires_grad and y._node is None
 
 
 def test_one_no_grad_entered_twice_restores_recording():
