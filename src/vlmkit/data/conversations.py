@@ -8,6 +8,9 @@ A dataset file is a JSON array of records:
 The "<image>" literal marks where image features are spliced into the
 token sequence; it may appear once, and only in the first human turn.
 Turn text must be encodable as UTF-8, which the tokenizer emits.
+
+A `Conversation` checks these rules when it is built, so one that exists
+is valid and nothing downstream checks it again.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from ..errors import ValidationError, naming, path_error
 from .tokenizer import IMAGE_PLACEHOLDER, require_utf8
@@ -26,19 +29,23 @@ ROLE_ASSISTANT = "assistant"
 _FROM_TO_ROLE = {"human": ROLE_HUMAN, "gpt": ROLE_ASSISTANT}
 
 
-@dataclass
+@dataclass(frozen=True)
 class Turn:
     role: str
     text: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class Conversation:
+    """A valid conversation: the constructor refuses any other by name.
+
+    Frozen, but `turns` is kept as passed, not copied, so it must not be
+    edited in place after construction; build a new `Conversation` instead."""
     id: str
     image_path: Optional[str] = None
-    turns: List[Turn] = field(default_factory=list)
+    turns: Sequence[Turn] = field(default_factory=list)
 
-    def validate(self):
+    def __post_init__(self):
         if not isinstance(self.id, str):
             raise ValidationError(f"conversation id must be a string, got {self.id!r}")
         if not (self.image_path is None or isinstance(self.image_path, str)):
@@ -109,10 +116,8 @@ def conversation_from_record(record: dict, index: int) -> Conversation:
     conv_id = record.get("id", str(index))
     if not isinstance(conv_id, str):
         raise ValidationError(f"record {index}: 'id' must be a string, got {conv_id!r}")
-    conv = Conversation(id=conv_id, image_path=image, turns=turns)
     with naming(f"record {index}"):
-        conv.validate()
-    return conv
+        return Conversation(id=conv_id, image_path=image, turns=turns)
 
 
 def load_dataset(path: str) -> List[Conversation]:
@@ -144,5 +149,9 @@ def load_dataset(path: str) -> List[Conversation]:
 
 
 def resolve_image_path(dataset_path: str, image_rel: str) -> str:
-    """Image paths in records are relative to the dataset file's directory."""
+    """Image paths in records are relative to the dataset file's directory.
+    Either argument that is not a string is a ValidationError naming it."""
+    for name, value in (("dataset_path", dataset_path), ("image_rel", image_rel)):
+        if not isinstance(value, str):
+            raise ValidationError(f"{name} must be a string, got {value!r}")
     return os.path.join(os.path.dirname(os.path.abspath(dataset_path)), image_rel)

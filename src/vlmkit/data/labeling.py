@@ -1,13 +1,14 @@
 """Tokenization with ground-truth label masking, and batch collation.
 
 A conversation becomes tokens in one walk: `templates.template_segments`
-validates it and yields its segments (system message, role markers, turn
-texts, specials) in the one order it defines, and
-`ByteTokenizer.encode_pieces` encodes them in one pass. It encodes each
-text to UTF-8, joins the bytes, refuses an "<image>" split across segments,
-converts them to int32 ids in one step and writes BOS, EOS and IMAGE into
-the slots it recorded on the way, never by searching the bytes, since turn
-text may hold NUL. Each segment is encoded on its own, so token boundaries
+yields its segments (system message, role markers, turn texts, specials)
+in the one order it defines, and `ByteTokenizer.encode_pieces` encodes
+them in one pass. The walk checks nothing, since a `Conversation` is
+checked when it is built. The encoder encodes each text to UTF-8, joins
+the bytes, refuses an "<image>" split across segments, converts them to
+int32 ids in one step and writes BOS, EOS and IMAGE into the slots it
+recorded on the way, never by searching the bytes, since turn text may
+hold NUL. Each segment is encoded on its own, so token boundaries
 never straddle segments. The encoder returns where each segment ends, so
 the supervised ones become (start, end) spans. Any error from the encoder
 names the conversation.

@@ -12,9 +12,10 @@ An answer ends with the template's assistant suffix when it has one, and
 with EOS when it does not, so every answer has a terminator to learn.
 
 The order of a conversation's pieces under a template is defined in one
-place, `template_segments`, the one walk: it validates the conversation,
-then yields BOS, the system message, and per turn the user
-prefix/text/suffix or the assistant prefix/text and suffix or EOS.
+place, `template_segments`, the one walk: it yields BOS, the system
+message, and per turn the user prefix/text/suffix or the assistant
+prefix/text and suffix or EOS. It checks nothing, since a `Conversation`
+is checked when it is built.
 `labeling` encodes those pieces in one pass; the token ids are the only
 rendering, and `ByteTokenizer.decode` of them is the text view.
 
@@ -58,8 +59,8 @@ class ChatTemplate:
 
 def template_segments(conv: Conversation, tpl: ChatTemplate,
                       prompt: bool = False) -> Iterator[Tuple[Union[str, int], bool]]:
-    """The (piece, supervised) segments of a conversation, in order, after
-    validating it.
+    """The (piece, supervised) segments of a conversation, in order. A
+    `Conversation` is checked when it is built, so the walk checks nothing.
 
     A piece is text or a special id (BOS_ID, EOS_ID); supervised marks answer
     text and its terminator, which training labels.
@@ -68,7 +69,6 @@ def template_segments(conv: Conversation, tpl: ChatTemplate,
     a trailing assistant turn contributes its prefix only, and a conversation
     ending on a human turn gets the prefix appended (a generation prompt).
     """
-    conv.validate()
     if tpl.add_bos:
         yield BOS_ID, False
     yield tpl.system_message, False

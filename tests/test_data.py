@@ -3,6 +3,7 @@
 import hashlib
 import json
 import re
+from dataclasses import FrozenInstanceError, fields
 from pathlib import Path
 
 import numpy as np
@@ -225,6 +226,14 @@ def _square_conv():
     )
 
 
+def test_a_built_turn_or_conversation_takes_no_assignment():
+    conv = _square_conv()
+    for obj in (conv, conv.turns[0]):
+        for f in fields(obj):
+            with pytest.raises(FrozenInstanceError):
+                setattr(obj, f.name, getattr(obj, f.name))
+
+
 def test_render_zero_turns_is_system_message():
     conv = Conversation(id="e")
     tpl = BUILTIN_TEMPLATES["llava_v1"]
@@ -272,7 +281,7 @@ def test_render_agrees_with_tokenized_prompts():
     for k in range(60):
         conv = random_conversation(rng, conv_id=f"c{k}")
         if k % 3 == 0:
-            conv.turns.pop()
+            conv = Conversation(conv.id, conv.image_path, conv.turns[:-1])
         last = conv.turns[-1]
         for tpl in BUILTIN_TEMPLATES.values():
             ids, _ = tokenize_prompt(conv, tpl, TOK)
@@ -291,7 +300,7 @@ def test_render_agrees_with_tokenized_prompts():
 
 def test_render_generation_prompt_after_human_turn_adds_prefix():
     conv = _square_conv()
-    conv.turns.pop()
+    conv = Conversation(conv.id, conv.image_path, conv.turns[:-1])
     tpl = BUILTIN_TEMPLATES["llava_v1"]
     out = decode_with_eos(tokenize_prompt(conv, tpl, TOK)[0])
     assert out.endswith("What color is the square? ASSISTANT: ")

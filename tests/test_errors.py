@@ -9,9 +9,9 @@ import json
 import numpy as np
 import pytest
 
-from vlmkit.data import (BUILTIN_TEMPLATES, ByteTokenizer, ChatTemplate, Conversation, Turn,
-                         bilinear_resize, collate, load_dataset, load_ppm, preprocess_image,
-                         synth_vqa_generate, tokenize_and_label, tokenize_prompt, write_ppm)
+from vlmkit.data import (ByteTokenizer, ChatTemplate, Conversation, Turn, bilinear_resize,
+                         collate, load_dataset, load_ppm, preprocess_image, resolve_image_path,
+                         synth_vqa_generate, write_ppm)
 from vlmkit.errors import DimensionError, RegistryError, ValidationError
 from vlmkit.model import (LanguageModel, LLMConfig, MultiHeadAttention, VisionTowerConfig,
                           build_model, compose_multimodal)
@@ -263,45 +263,53 @@ def test_integer_ops_keep_the_callers_integer_dtype():
     assert embedding(table, []).shape == (0, 2)
 
 
-def _tokenized(conv):
-    """The message of the ValidationError that tokenizing `conv` as a sample
-    and as a prompt must both raise, alike."""
-    messages = []
-    for call in (tokenize_and_label, tokenize_prompt):
-        with pytest.raises(ValidationError) as ei:
-            call(conv, BUILTIN_TEMPLATES["llava_v1"], ByteTokenizer())
-        assert type(ei.value) is ValidationError
-        messages.append(str(ei.value))
-    assert messages[0] == messages[1]
-    return messages[0]
-
-
-@pytest.mark.parametrize("conv, message", [
-    pytest.param(Conversation("x", None, None),
+# Each invalid conversation is built in the test body, since the constructor
+# refuses it: a `Conversation` that exists is valid.
+@pytest.mark.parametrize("fields, message", [
+    pytest.param(("x", None, None),
                  "turns must be a list of Turn, got NoneType", id="turns-none"),
-    pytest.param(Conversation("x", None, "q"), "turns must be a list of Turn, got str",
+    pytest.param(("x", None, "q"), "turns must be a list of Turn, got str",
                  id="turns-str"),
-    pytest.param(Conversation("x", None, [("human", "q")]), "turn 0 must be a Turn, got tuple",
+    pytest.param(("x", None, [("human", "q")]), "turn 0 must be a Turn, got tuple",
                  id="turn-tuple"),
-    pytest.param(Conversation("x", None, [Turn("human", None)]),
+    pytest.param(("x", None, [Turn("human", None)]),
                  "turn 0 role and text must be strings, got str and NoneType", id="text-none"),
-    pytest.param(Conversation("x", None, [Turn(None, "q")]),
+    pytest.param(("x", None, [Turn(None, "q")]),
                  "turn 0 role and text must be strings, got NoneType and str", id="role-none"),
-    pytest.param(Conversation("x", None, (Turn("human", "q"), Turn("assistant", b"a"))),
+    pytest.param(("x", None, (Turn("human", "q"), Turn("assistant", b"a"))),
                  "turn 1 role and text must be strings, got str and bytes", id="text-bytes"),
 ])
-def test_a_conversation_field_of_the_wrong_type_is_named(conv, message):
-    assert _tokenized(conv) == f"conversation 'x': {message}"
+def test_a_conversation_field_of_the_wrong_type_is_named(fields, message):
+    with pytest.raises(ValidationError) as ei:
+        Conversation(*fields)
+    assert type(ei.value) is ValidationError
+    assert str(ei.value) == f"conversation 'x': {message}"
 
 
-@pytest.mark.parametrize("conv, message", [
-    pytest.param(Conversation(["x"], None, []), "conversation id must be a string, got ['x']",
+@pytest.mark.parametrize("fields, message", [
+    pytest.param((["x"], None, []), "conversation id must be a string, got ['x']",
                  id="id-list"),
-    pytest.param(Conversation("x", 5, [Turn("human", "<image>q"), Turn("assistant", "a")]),
+    pytest.param(("x", 5, [Turn("human", "<image>q"), Turn("assistant", "a")]),
                  "conversation 'x': image path must be a string, got int", id="image-path-int"),
 ])
-def test_a_conversation_id_or_image_path_of_the_wrong_type_is_named(conv, message):
-    assert _tokenized(conv) == message
+def test_a_conversation_id_or_image_path_of_the_wrong_type_is_named(fields, message):
+    with pytest.raises(ValidationError) as ei:
+        Conversation(*fields)
+    assert type(ei.value) is ValidationError
+    assert str(ei.value) == message
+
+
+@pytest.mark.parametrize("args, message", [
+    pytest.param(("d.json", None), "image_rel must be a string, got None", id="image_rel-none"),
+    pytest.param(("d.json", 5), "image_rel must be a string, got 5", id="image_rel-int"),
+    pytest.param((None, "x.ppm"), "dataset_path must be a string, got None",
+                 id="dataset_path-none"),
+])
+def test_resolve_image_path_names_an_argument_that_is_not_a_string(args, message):
+    with pytest.raises(ValidationError) as ei:
+        resolve_image_path(*args)
+    assert type(ei.value) is ValidationError
+    assert str(ei.value) == message
 
 
 # Wrong JSON types that `tests/test_data.py`'s malformed-record table does not

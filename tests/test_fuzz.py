@@ -1,7 +1,11 @@
 """Fuzzing the error contract of the data loaders and the tokenizers.
 
 For any input, `load_dataset` and `load_ppm` either return a well-formed
-result or raise a `VlmkitError` that names the record or the file;
+result or raise a `VlmkitError` that names the record or the file; the
+`Conversation` constructor either refuses drawn fields with a
+`ValidationError` that names the conversation, or builds one that
+`tokenize_and_label` and `tokenize_prompt` refuse only when it has no answer
+to label or its text splits a placeholder across template pieces;
 `tokenize_and_label` and `tokenize_prompt` either raise a `VlmkitError` or
 return ids and labels that agree with each other and with the template, and
 byte for byte with the reference list walk, and refuse a placeholder split
@@ -33,7 +37,7 @@ from vlmkit.data import (BUILTIN_TEMPLATES, IMAGE_ID, IMAGE_PLACEHOLDER, PAD_ID,
                          load_ppm, tokenize_and_label, tokenize_prompt)
 from vlmkit.data.conversations import ROLE_ASSISTANT, ROLE_HUMAN
 from vlmkit.data.templates import template_segments
-from vlmkit.errors import VlmkitError
+from vlmkit.errors import ValidationError, VlmkitError
 from vlmkit.model import LLMConfig, QueryConfig, VisionTowerConfig, resolve_model_config
 from vlmkit.numerics import Tensor, add, lr_schedule, matmul, mul, scale, softmax
 from vlmkit.numerics.ops import IGNORE_INDEX
@@ -186,7 +190,9 @@ ROLES = st.sampled_from([ROLE_HUMAN, ROLE_ASSISTANT, "gpt", ""])
 
 @st.composite
 def conversations(draw):
-    """Often well-formed (alternating roles, one image in the first turn), often not."""
+    """The fields of a conversation, (id, image path, [(role, text), ...]), not a
+    built one: often well-formed (alternating roles, one image in the first
+    turn), often not, so that the constructor refuses some."""
     n = draw(st.integers(0, 5))
     alternating = [ROLE_ASSISTANT if i % 2 else ROLE_HUMAN for i in range(n)]
     roles = draw(st.just(alternating) | st.lists(ROLES, min_size=n, max_size=n))
@@ -197,29 +203,68 @@ def conversations(draw):
         texts[0] = texts[0][:at] + "<image>" + texts[0][at:]
     has_image = any("<image>" in t for t in texts)
     image_path = draw(st.just("x.ppm" if has_image else None) | st.sampled_from([None, "x.ppm"]))
-    return Conversation("f", image_path, [Turn(r, t) for r, t in zip(roles, texts)])
+    return "f", image_path, list(zip(roles, texts))
+
+
+def build(fields):
+    """The Conversation of drawn fields; the constructor may refuse them."""
+    conv_id, image_path, turns = fields
+    return Conversation(conv_id, image_path, [Turn(role, text) for role, text in turns])
+
+
+SPLIT = ("split", None, [(ROLE_HUMAN, "q<ima"), (ROLE_ASSISTANT, "ge>")])
+SURROGATE = ("surrogate", None, [(ROLE_HUMAN, "q"), (ROLE_ASSISTANT, "\ud800")])
+LATE = ("late", "x.ppm", [(ROLE_HUMAN, "q"), (ROLE_ASSISTANT, "<image>")])
+EMPTY = ("empty", None, [])
+ASKED = ("asked", "x.ppm", [(ROLE_HUMAN, "<image>q")])
 
 
 @FUZZ
-@given(conv=conversations(), tpl=st.sampled_from(list(BUILTIN_TEMPLATES.values())))
-@example(conv=Conversation("split", None,
-                          [Turn(ROLE_HUMAN, "q<ima"), Turn(ROLE_ASSISTANT, "ge>")]),
-         tpl=BUILTIN_TEMPLATES["plain"])
-@example(conv=Conversation("surrogate", None,
-                          [Turn(ROLE_HUMAN, "q"), Turn(ROLE_ASSISTANT, "\ud800")]),
-         tpl=BUILTIN_TEMPLATES["plain"])
-@example(conv=Conversation("late", "x.ppm",
-                          [Turn(ROLE_HUMAN, "q"), Turn(ROLE_ASSISTANT, "<image>")]),
-         tpl=BUILTIN_TEMPLATES["plain"])
-@example(conv=Conversation("empty", None, []), tpl=BUILTIN_TEMPLATES["llava_v1"])
-@example(conv=Conversation("asked", "x.ppm", [Turn(ROLE_HUMAN, "<image>q")]),
-         tpl=BUILTIN_TEMPLATES["gemma_like"])
-def test_tokenize_labels_or_raises(conv, tpl):
+@given(fields=conversations(), tpl=st.sampled_from(list(BUILTIN_TEMPLATES.values())))
+@example(fields=SPLIT, tpl=BUILTIN_TEMPLATES["plain"])
+@example(fields=SURROGATE, tpl=BUILTIN_TEMPLATES["plain"])
+@example(fields=LATE, tpl=BUILTIN_TEMPLATES["plain"])
+@example(fields=EMPTY, tpl=BUILTIN_TEMPLATES["llava_v1"])
+@example(fields=ASKED, tpl=BUILTIN_TEMPLATES["gemma_like"])
+@example(fields=(5, None, []), tpl=BUILTIN_TEMPLATES["plain"])
+@example(fields=("t", None, [(None, "q")]), tpl=BUILTIN_TEMPLATES["plain"])
+@example(fields=("t", None, [(ROLE_HUMAN, b"q")]), tpl=BUILTIN_TEMPLATES["plain"])
+def test_a_conversation_that_builds_tokenizes(fields, tpl):
+    # The constructor is the one check: a conversation it refuses is named,
+    # and one it builds tokenizes, unless it has nothing to label or its
+    # text and the template's join into a placeholder that is not one.
     try:
+        conv = build(fields)
+    except VlmkitError as exc:
+        assert type(exc) is ValidationError
+        conv_id = fields[0]
+        named = (f"conversation '{conv_id}': " if isinstance(conv_id, str)
+                 else f"conversation id must be a string, got {conv_id!r}")
+        assert str(exc).startswith(named), str(exc)
+        return
+    split = f"conversation '{conv.id}': text split across template pieces joins into"
+    for call in (tokenize_and_label, tokenize_prompt):
+        try:
+            call(conv, tpl, TOK)
+        except VlmkitError as exc:
+            assert (str(exc).startswith(split) or call is tokenize_and_label
+                    and str(exc) == f"conversation '{conv.id}' has no assistant turn"), str(exc)
+
+
+@FUZZ
+@given(fields=conversations(), tpl=st.sampled_from(list(BUILTIN_TEMPLATES.values())))
+@example(fields=SPLIT, tpl=BUILTIN_TEMPLATES["plain"])
+@example(fields=SURROGATE, tpl=BUILTIN_TEMPLATES["plain"])
+@example(fields=LATE, tpl=BUILTIN_TEMPLATES["plain"])
+@example(fields=EMPTY, tpl=BUILTIN_TEMPLATES["llava_v1"])
+@example(fields=ASKED, tpl=BUILTIN_TEMPLATES["gemma_like"])
+def test_tokenize_labels_or_raises(fields, tpl):
+    try:
+        conv = build(fields)
         full = tokenize_and_label(conv, tpl, TOK)
         ids, labels, image_token_index = full.input_ids, full.labels, full.image_token_index
     except VlmkitError as exc:
-        assert str(exc).startswith(f"conversation '{conv.id}'"), str(exc)
+        assert str(exc).startswith(f"conversation '{fields[0]}'"), str(exc)
         if not str(exc).endswith("has no assistant turn"):
             return
         # Nothing to label, so the ids to check the prompt against are the
@@ -253,15 +298,17 @@ def test_tokenize_labels_or_raises(conv, tpl):
 
 
 @FUZZ
-@given(conv=conversations(), tpl=st.sampled_from(list(BUILTIN_TEMPLATES.values())),
+@given(fields=conversations(), tpl=st.sampled_from(list(BUILTIN_TEMPLATES.values())),
        prompt=st.booleans())
-@example(conv=Conversation("nul", None,
-                          [Turn(ROLE_HUMAN, "\0q\0"), Turn(ROLE_ASSISTANT, "\0")]),
+@example(fields=("nul", None, [(ROLE_HUMAN, "\0q\0"), (ROLE_ASSISTANT, "\0")]),
          tpl=BUILTIN_TEMPLATES["gemma_like"], prompt=False)
-@example(conv=Conversation("empty", "x.ppm",
-                          [Turn(ROLE_HUMAN, "<image>"), Turn(ROLE_ASSISTANT, "")]),
+@example(fields=("empty", "x.ppm", [(ROLE_HUMAN, "<image>"), (ROLE_ASSISTANT, "")]),
          tpl=BUILTIN_TEMPLATES["plain"], prompt=False)
-def test_tokenize_matches_the_reference_walk(conv, tpl, prompt):
+def test_tokenize_matches_the_reference_walk(fields, tpl, prompt):
+    try:
+        conv = build(fields)
+    except VlmkitError:
+        return      # refused by name (test_a_conversation_that_builds_tokenizes)
     try:
         ids, labels, image_index = reference_tokenize(conv, tpl, prompt)
     except VlmkitError as exc:
@@ -298,35 +345,40 @@ def fragment_texts(max_parts):
 
 @st.composite
 def fragment_cases(draw):
-    """A template and a conversation whose texts are joined "<image>" fragments;
-    the conversation has an image path exactly when a turn holds "<image>"."""
+    """A template and the fields of a conversation whose texts are joined
+    "<image>" fragments; the conversation has an image path exactly when a
+    turn holds "<image>"."""
     fields = {name: draw(st.just("") | fragment_texts(2).filter(
         lambda t: IMAGE_PLACEHOLDER not in t)) for name in TEMPLATE_FIELDS}
     tpl = ChatTemplate("frag", add_bos=draw(st.booleans()), **fields)
     texts = draw(st.lists(fragment_texts(3), min_size=1, max_size=4))
-    turns = [Turn(ROLE_ASSISTANT if i % 2 else ROLE_HUMAN, t) for i, t in enumerate(texts)]
+    turns = [(ROLE_ASSISTANT if i % 2 else ROLE_HUMAN, t) for i, t in enumerate(texts)]
     has_image = any(IMAGE_PLACEHOLDER in t for t in texts)
-    return Conversation("frag", "x.ppm" if has_image else None, turns), tpl
+    return ("frag", "x.ppm" if has_image else None, turns), tpl
 
 
 @FUZZ
 @given(case=fragment_cases(), prompt=st.booleans())
-@example(case=(Conversation("frag", None, [Turn(ROLE_HUMAN, "q<ima"), Turn(ROLE_ASSISTANT, "ge>")]),
+@example(case=(("frag", None, [(ROLE_HUMAN, "q<ima"), (ROLE_ASSISTANT, "ge>")]),
                BUILTIN_TEMPLATES["plain"]), prompt=False)
-@example(case=(Conversation("frag", None, [Turn(ROLE_HUMAN, "a <im")]),
+@example(case=(("frag", None, [(ROLE_HUMAN, "a <im")]),
                ChatTemplate("frag", user_suffix="age>")), prompt=True)
-@example(case=(Conversation("frag", None, [Turn(ROLE_HUMAN, "<ima")]),
+@example(case=(("frag", None, [(ROLE_HUMAN, "<ima")]),
                ChatTemplate("frag", assistant_prefix="ge>")), prompt=True)
-@example(case=(Conversation("frag", "x.ppm", [Turn(ROLE_HUMAN, "<ima<image>ge>"),
-                                              Turn(ROLE_ASSISTANT, "a")]),
+@example(case=(("frag", "x.ppm", [(ROLE_HUMAN, "<ima<image>ge>"), (ROLE_ASSISTANT, "a")]),
                BUILTIN_TEMPLATES["plain"]), prompt=False)
-@example(case=(Conversation("frag", None, [Turn(ROLE_HUMAN, "q"), Turn(ROLE_ASSISTANT, "<ima"),
-                                           Turn(ROLE_HUMAN, "ge>")]),
+@example(case=(("frag", None, [(ROLE_HUMAN, "q"), (ROLE_ASSISTANT, "<ima"), (ROLE_HUMAN, "ge>")]),
                BUILTIN_TEMPLATES["plain"]), prompt=True)
 def test_split_placeholder_is_refused_exactly_when_the_joined_text_shows_one(case, prompt):
     # The reference refuses by joining the pieces' text, the library by the
     # bytes its encoder joins; the two must fire together, with one message.
-    conv, tpl = case
+    fields, tpl = case
+    try:
+        conv = build(fields)
+    except VlmkitError as exc:
+        # More than one "<image>", or one past the first turn.
+        assert str(exc).startswith("conversation 'frag': '<image>' "), str(exc)
+        return
     try:
         reference_tokenize(conv, tpl, prompt)
         want = None

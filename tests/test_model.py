@@ -546,12 +546,11 @@ def test_generate_image_placeholder_consistency():
 
 
 def test_generate_names_the_prompt_with_unencodable_text():
-    model = build_model(tiny_model_cfg(), seed=SEED)
-    conv = Conversation(id="u", turns=[Turn("human", "\ud800")])
+    # No prompt that generate could take holds such text: the constructor
+    # refuses it, naming the conversation.
     with pytest.raises(ValidationError) as ei:
-        generate(model, conv)
-    assert str(ei.value) == ("prompt 'u': conversation 'u': turn 0 holds '\\ud800', "
-                             "which UTF-8 cannot encode")
+        Conversation(id="u", turns=[Turn("human", "\ud800")])
+    assert str(ei.value) == "conversation 'u': turn 0 holds '\\ud800', which UTF-8 cannot encode"
 
 
 def test_generate_prompt_too_long():
